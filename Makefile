@@ -45,11 +45,17 @@
 #                 current one (via cmd/benchjson -compare); warns and
 #                 succeeds when either snapshot is missing, so fresh
 #                 clones and CI runs without archives don't fail.
+#   perfbench   — the same-host benchmark (perfbench/NOTES.md): runs
+#                 perfbench/run.py once per BENCHMARK.json workload and
+#                 prints each workload's result line. SEED and SECONDS set
+#                 the input seed and measurement time. For a traced run
+#                 (per-layer ledger) call perfbench/run.py with --trace 1.
 #   racecheck   — focused race-detector pass over the concurrent hot-path
 #                 packages (serving tier, load generator, responder,
-#                 scanner, store, engine core) under -short, so the
-#                 data-race gate on the paths the lint contracts annotate
-#                 runs in minutes, not the full-suite tier-2 budget.
+#                 scanner, store, engine core, shared memo cache) under
+#                 -short, so the data-race gate on the paths the lint
+#                 contracts annotate runs in minutes, not the full-suite
+#                 tier-2 budget.
 #   crash-recovery — end-to-end durability check: runs a campaign, kills
 #                 a second run mid-round via the store failpoint, resumes
 #                 it, and asserts the resumed figures match
@@ -61,9 +67,10 @@ GO ?= go
 # request path, drives load at it, or feeds it. racecheck and the
 # //lint:allocfree contracts (DESIGN.md §15) cover the same surface.
 RACE_PKGS = ./internal/ocspserver ./internal/loadgen ./internal/responder \
-	./internal/scanner ./internal/store ./internal/core ./internal/expectstaple
+	./internal/scanner ./internal/store ./internal/core ./internal/expectstaple \
+	./internal/memo
 
-.PHONY: all tier1 tier2 loadcheck capacitycheck staplecheck memcheck racecheck bench-guard bench bench-snapshot bench-compare crash-recovery vet fmt fmt-check lint
+.PHONY: all tier1 tier2 loadcheck capacitycheck staplecheck memcheck racecheck bench-guard bench bench-snapshot bench-compare perfbench crash-recovery vet fmt fmt-check lint
 
 all: tier1
 
@@ -155,6 +162,17 @@ bench-compare:
 	else \
 		$(GO) run ./cmd/benchjson -compare $(BENCH_BASE) $(BENCH_HEAD); \
 	fi
+
+# perfbench runs the same-host benchmark over every workload BENCHMARK.json
+# declares. Compare two trees only by running this on both, on one host.
+SEED ?= 1
+SECONDS ?= 25
+
+perfbench:
+	@for w in $$(python3 -c "import json; print(' '.join(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))"); do \
+		echo "== $$w"; \
+		python3 perfbench/run.py --workload $$w --seed $(SEED) --seconds $(SECONDS) --trace 0 || exit 1; \
+	done
 
 crash-recovery:
 	./scripts/crash_recovery.sh

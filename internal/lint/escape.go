@@ -32,11 +32,16 @@ type EscapeVerdict struct {
 	// Escapes is true for "escapes to heap"/"moved to heap" verdicts,
 	// false for "does not escape".
 	Escapes bool
+	// file is the path as the compiler printed it, cleaned.
+	file string
 }
 
 // EscapeFacts is the parsed escape-analysis output of one package,
-// keyed by (file basename, line). Basenames suffice: facts are consulted
-// per package, and a Go package cannot contain two files with one name.
+// indexed by (file basename, line). A basename alone is not enough: the
+// output also carries verdicts for generic code from other packages,
+// instantiated here and reported at its own source position, whose file
+// may share a basename with one of this package's. At therefore matches
+// the printed path too.
 type EscapeFacts struct {
 	byLine map[string][]EscapeVerdict
 }
@@ -45,13 +50,21 @@ func lineFactKey(base string, line int) string {
 	return base + ":" + strconv.Itoa(line)
 }
 
-// At returns the verdicts recorded for the given file (any path; the
-// basename is used) and line.
+// At returns the verdicts recorded for the given file and line. file may
+// be absolute; it matches a verdict whose printed path (relative to the
+// module root or the package directory) is a suffix of it.
 func (f *EscapeFacts) At(file string, line int) []EscapeVerdict {
 	if f == nil {
 		return nil
 	}
-	return f.byLine[lineFactKey(filepath.Base(file), line)]
+	file = filepath.Clean(file)
+	var out []EscapeVerdict
+	for _, v := range f.byLine[lineFactKey(filepath.Base(file), line)] {
+		if file == v.file || strings.HasSuffix(file, string(filepath.Separator)+v.file) {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // NoEscapeAt reports whether the compiler proved at least one site on
@@ -119,7 +132,7 @@ func parseEscapeOutput(out []byte) *EscapeFacts {
 		msg := strings.TrimSpace(rest[k+1:])
 		key := lineFactKey(filepath.Base(file), lineNo)
 		facts.byLine[key] = append(facts.byLine[key], EscapeVerdict{
-			Line: lineNo, Col: col, Text: msg, Escapes: escapes,
+			Line: lineNo, Col: col, Text: msg, Escapes: escapes, file: filepath.Clean(file),
 		})
 	}
 	return facts

@@ -20,6 +20,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"github.com/netmeasure/muststaple/internal/memo"
 )
 
 // Vantage is a measurement client location.
@@ -312,22 +314,9 @@ func (n *Network) DoSimple(vantage Vantage, at time.Time, method, rawURL string,
 // vantage RTT floor plus a stable pseudo-random jitter. Deterministic so
 // repeated runs of a seeded world produce identical figures.
 func (n *Network) latency(v Vantage, host string, at time.Time) time.Duration {
-	h := fnv64(v.Name + "|" + host + "|" + at.Truncate(time.Hour).Format(time.RFC3339))
+	h := memo.Hash(v.Name + "|" + host + "|" + at.Truncate(time.Hour).Format(time.RFC3339))
 	jitter := time.Duration(h%20) * time.Millisecond
 	return v.BaseRTT + jitter
-}
-
-func fnv64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
 }
 
 // recorder is a minimal in-memory http.ResponseWriter, avoiding a

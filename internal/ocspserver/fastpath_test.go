@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netmeasure/muststaple/internal/memo"
 	"github.com/netmeasure/muststaple/internal/metrics"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/responder"
@@ -250,35 +251,48 @@ func TestFastPathMultiTenant(t *testing.T) {
 	}
 }
 
-// TestFastCacheByteConfirmation (white-box): a hash collision must be
-// rejected by the stored-path comparison, never served.
-func TestFastCacheByteConfirmation(t *testing.T) {
-	c := newFastCache()
-	e := &fastEntry{path: "real-path"}
-	h := fnv64str(e.path)
-	c.put(h, e)
-	if got := c.get(h, e.path); got != e {
-		t.Fatal("exact-path get missed")
+// TestFastCacheEviction overfills one shard of the handler's fast-path
+// memo at fastBudget: the overflowing insert evicts exactly half of the
+// shard's share, and the shard never holds more than that share.
+func TestFastCacheEviction(t *testing.T) {
+	var c memo.Cache[string, *fastEntry]
+	perShard := fastBudget / 64
+	var evicted int
+	// Hashes i<<6 all select shard 0 (low six bits zero, high word zero).
+	for i := 0; i < perShard+1; i++ {
+		p := fmt.Sprintf("p%d", i)
+		evicted += c.Put(uint64(i)<<6, p, &fastEntry{epochGen: uint64(i)}, fastBudget)
 	}
-	if got := c.get(h, "impostor-path"); got != nil {
-		t.Fatal("colliding hash with different path bytes was served")
+	if evicted != perShard/2 {
+		t.Fatalf("evicted = %d, want %d", evicted, perShard/2)
+	}
+	n := 0
+	for i := 0; i < perShard+1; i++ {
+		p := fmt.Sprintf("p%d", i)
+		if e, ok := c.Get(uint64(i)<<6, p); ok && e.epochGen == uint64(i) {
+			n++
+		}
+	}
+	if n > perShard {
+		t.Fatalf("shard grew past budget: %d", n)
+	}
+	if want := perShard + 1 - evicted; n != want {
+		t.Fatalf("shard holds %d entries, want %d", n, want)
 	}
 }
 
-// TestFastCacheEviction (white-box): shards half-evict at budget and
-// report the eviction count.
-func TestFastCacheEviction(t *testing.T) {
-	c := newFastCache()
-	var evicted int64
-	// Hashes 16*i all land in shard 0 ((h^(h>>32))&15 == 0 for small h).
-	for i := 0; i < fastShardBudget+1; i++ {
-		evicted += c.put(uint64(16*i), &fastEntry{path: fmt.Sprintf("p%d", i)})
+// TestFastCacheByteConfirmation (white-box): a path whose hash collides
+// with a memoized path's must miss, never be served the other's entry.
+func TestFastCacheByteConfirmation(t *testing.T) {
+	var h Handler
+	e := &fastEntry{}
+	hash := memo.Hash("real-path")
+	h.fast.Put(hash, "real-path", e, fastBudget)
+	if got, _ := h.fast.Get(hash, "real-path"); got != e {
+		t.Fatal("exact-path get missed")
 	}
-	if evicted != fastShardBudget/2 {
-		t.Fatalf("evicted = %d, want %d", evicted, fastShardBudget/2)
-	}
-	if n := len(c.shards[0].m); n > fastShardBudget {
-		t.Fatalf("shard grew past budget: %d", n)
+	if got, ok := h.fast.Get(hash, "impostor-path"); ok || got != nil {
+		t.Fatal("colliding hash with different path bytes was served")
 	}
 }
 

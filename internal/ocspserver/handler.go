@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/memo"
 	"github.com/netmeasure/muststaple/internal/metrics"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/pkixutil"
@@ -56,8 +57,8 @@ const (
 type Handler struct {
 	single  *responder.Responder
 	tenants *Registry
-	routes  *routeCache
-	fast    *fastCache
+	routes  *routeCache                    // multi-tenant only
+	fast    memo.Cache[string, *fastEntry] // GET fast path, keyed by raw path
 
 	clk             clock.Clock
 	reg             *metrics.Registry
@@ -121,7 +122,7 @@ func WithClock(clk clock.Clock) HandlerOption {
 
 // NewHandler fronts a single responder core.
 func NewHandler(r *responder.Responder, opts ...HandlerOption) *Handler {
-	h := &Handler{single: r, fast: newFastCache(), maxRequestBytes: DefaultMaxRequestBytes}
+	h := &Handler{single: r, maxRequestBytes: DefaultMaxRequestBytes}
 	for _, o := range opts {
 		o(h)
 	}
@@ -132,7 +133,7 @@ func NewHandler(r *responder.Responder, opts ...HandlerOption) *Handler {
 // NewMultiTenantHandler fronts a registry of per-CA tenants, routing
 // each request by its issuer hash.
 func NewMultiTenantHandler(reg *Registry, opts ...HandlerOption) *Handler {
-	h := &Handler{tenants: reg, routes: newRouteCache(), fast: newFastCache(), maxRequestBytes: DefaultMaxRequestBytes}
+	h := &Handler{tenants: reg, routes: new(routeCache), maxRequestBytes: DefaultMaxRequestBytes}
 	for _, o := range opts {
 		o(h)
 	}
@@ -263,7 +264,7 @@ func (h *Handler) serveGET(w http.ResponseWriter, req *http.Request) {
 //
 //lint:allocfree
 func (h *Handler) serveFast(w http.ResponseWriter, raw string) bool {
-	e := h.fast.get(fnv64str(raw), raw)
+	e, _ := h.fast.Get(memo.Hash(raw), raw)
 	if e == nil {
 		h.cFastMiss.Inc()
 		return false
@@ -319,12 +320,12 @@ func (h *Handler) respond(w http.ResponseWriter, req *http.Request, reqDER []byt
 	// update window rolls (or a revocation lands) while Respond runs,
 	// the result is served but not memoized — an entry must never be
 	// published under an epoch it was not generated in.
-	memo := rawPath != "" && r.FastServeEligible()
+	memoize := rawPath != "" && r.FastServeEligible()
 	var (
 		memoWin int64
 		memoGen uint64
 	)
-	if memo {
+	if memoize {
 		memoWin, memoGen = r.ServingEpoch(h.clockFor(r).Now())
 	}
 	res, err := r.Respond(req.Context(), reqDER)
@@ -360,10 +361,9 @@ func (h *Handler) respond(w http.ResponseWriter, req *http.Request, reqDER []byt
 			hdr.Set("Expires", expires)
 			hdr.Set("Last-Modified", lastMod)
 			hdr.Set("ETag", etag)
-			if memo && !res.Malformed && res.Source != responder.SourceStatic {
+			if memoize && !res.Malformed && res.Source != responder.SourceStatic {
 				if w2, g2 := r.ServingEpoch(now); w2 == memoWin && g2 == memoGen {
 					e := &fastEntry{
-						path:        rawPath,
 						tenant:      r,
 						epochWindow: memoWin,
 						epochGen:    memoGen,
@@ -374,7 +374,7 @@ func (h *Handler) respond(w http.ResponseWriter, req *http.Request, reqDER []byt
 						etag:        []string{etag},
 					}
 					e.cc.Store(&ccVal{secs: secs, vals: []string{ccStr}})
-					h.cFastEvict.Add(h.fast.put(fnv64str(rawPath), e))
+					h.cFastEvict.Add(int64(h.fast.Put(memo.Hash(rawPath), rawPath, e, fastBudget)))
 				}
 			}
 		}
@@ -389,7 +389,7 @@ func (h *Handler) route(reqDER []byte) (*responder.Responder, bool) {
 	if h.single != nil {
 		return h.single, true
 	}
-	hash := fnv64(reqDER)
+	hash := memo.Hash(reqDER)
 	if r, hit := h.routes.get(hash, reqDER); hit {
 		return r, true
 	}

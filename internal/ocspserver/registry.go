@@ -1,11 +1,13 @@
 package ocspserver
 
 import (
+	"bytes"
 	"crypto"
 	"fmt"
 	"sort"
 	"sync"
 
+	"github.com/netmeasure/muststaple/internal/memo"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/pkixutil"
 	"github.com/netmeasure/muststaple/internal/responder"
@@ -120,21 +122,11 @@ func (g *Registry) Len() int {
 // The route memo caches (request hash → tenant) so the multi-tenant hot
 // path skips re-parsing byte-identical requests — the same observation
 // the responder's signed-response cache exploits, applied one layer up.
-// Entries are confirmed against the stored request bytes, so an FNV
+// Entries are confirmed against the stored request bytes, so a hash
 // collision costs a re-parse, never a mis-route. Tenancy is fixed after
 // startup in every deployment this repo models, so entries never need
-// invalidation; shards are bounded by half-eviction regardless.
-
-const (
-	routeShards      = 8
-	routeShardBudget = 512
-)
-
-type routeShard struct {
-	mu sync.Mutex
-	m  map[uint64]routeEntry
-	_  [40]byte // pad to a cache line, mirroring the responder cache
-}
+// invalidation; the memo is capped at 8×512 entries regardless.
+const routeBudget = 8 * 512
 
 type routeEntry struct {
 	reqDER []byte
@@ -142,67 +134,16 @@ type routeEntry struct {
 }
 
 type routeCache struct {
-	shards [routeShards]routeShard
-}
-
-func newRouteCache() *routeCache {
-	c := &routeCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]routeEntry)
-	}
-	return c
-}
-
-func (c *routeCache) shardFor(h uint64) *routeShard {
-	return &c.shards[(h^(h>>32))&(routeShards-1)]
+	m memo.Cache[uint64, routeEntry]
 }
 
 func (c *routeCache) get(h uint64, reqDER []byte) (*responder.Responder, bool) {
-	s := c.shardFor(h)
-	s.mu.Lock()
-	e, ok := s.m[h]
-	s.mu.Unlock()
-	if ok && bytesEqual(e.reqDER, reqDER) {
+	if e, ok := c.m.Get(h, h); ok && bytes.Equal(e.reqDER, reqDER) {
 		return e.r, true
 	}
 	return nil, false
 }
 
 func (c *routeCache) put(h uint64, reqDER []byte, r *responder.Responder) {
-	e := routeEntry{reqDER: append([]byte(nil), reqDER...), r: r}
-	s := c.shardFor(h)
-	s.mu.Lock()
-	if len(s.m) >= routeShardBudget {
-		drop := routeShardBudget / 2
-		for k := range s.m {
-			delete(s.m, k)
-			if drop--; drop <= 0 {
-				break
-			}
-		}
-	}
-	s.m[h] = e
-	s.mu.Unlock()
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// fnv64 hashes raw request bytes (FNV-1a, the repo's shared constants).
-func fnv64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= 1099511628211
-	}
-	return h
+	c.m.Put(h, h, routeEntry{reqDER: append([]byte(nil), reqDER...), r: r}, routeBudget)
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/memo"
 	"github.com/netmeasure/muststaple/internal/metrics"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/pki"
@@ -121,6 +122,39 @@ func TestMultiTenantRouting(t *testing.T) {
 	}
 	if parsed := mustParse(t, body); parsed.Status != ocsp.StatusUnauthorized {
 		t.Errorf("unknown tenant OCSP status = %v, want unauthorized", parsed.Status)
+	}
+}
+
+// TestRouteCacheByteConfirmation (white-box): a route memo entry whose
+// hash collides with another request's must not route that request. The
+// memo is seeded with tenant A's request DER under the hash of tenant
+// B's request, as a forged collision would leave it; B's request must be
+// re-parsed and routed to B, and the re-parse overwrites the forged slot.
+func TestRouteCacheByteConfirmation(t *testing.T) {
+	clk := clock.NewSimulated(t0)
+	a := newTenant(t, "ocsp.tenant-a.test", clk)
+	b := newTenant(t, "ocsp.tenant-b.test", clk)
+	reg := NewRegistry()
+	for _, tt := range []*tenant{a, b} {
+		if err := reg.Register(tt.r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := NewMultiTenantHandler(reg)
+	hb := memo.Hash(b.reqDER)
+	h.routes.put(hb, a.reqDER, a.r)
+
+	if r, hit := h.routes.get(hb, b.reqDER); hit {
+		t.Fatalf("colliding hash with different request DER was served tenant %s", r.Host)
+	}
+	for i := 0; i < 2; i++ {
+		r, ok := h.route(b.reqDER)
+		if !ok || r != b.r {
+			t.Fatalf("route %d: ok=%v, routed to tenant B = %v", i, ok, r == b.r)
+		}
+	}
+	if r, hit := h.routes.get(hb, b.reqDER); !hit || r != b.r {
+		t.Fatalf("re-parsed route not memoized: hit=%v, tenant B = %v", hit, r == b.r)
 	}
 }
 

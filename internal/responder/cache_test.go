@@ -2,6 +2,7 @@ package responder
 
 import (
 	"bytes"
+	"context"
 	"crypto"
 	"net/http"
 	"sync"
@@ -139,6 +140,52 @@ func TestOnDemandRevokeSameInstant(t *testing.T) {
 	b := mustParse(t, firstBody(respondDER(r, reqDER)))
 	if b.Find(id).Status != ocsp.Revoked {
 		t.Errorf("post-revoke same-instant status = %v, want revoked", b.Find(id).Status)
+	}
+}
+
+// TestResponseCacheByteConfirmation (white-box): an entry whose key
+// collides with another request's must never answer that request. The
+// cache is seeded with certificate A's request and signed response under
+// certificate B's key, as a forged hash collision would leave it; B's
+// request must miss, be signed fresh for B's serial, and replace the
+// forged entry.
+func TestResponseCacheByteConfirmation(t *testing.T) {
+	f := newFixture(t)
+	r := f.responder(Profile{CacheResponses: true, Validity: 4 * time.Hour, UpdateInterval: 2 * time.Hour})
+	reqA, _ := f.request(t)
+	leafB, err := f.ca.IssueLeaf(leafOpts("b.resp.test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.db.AddIssued(leafB.Certificate.SerialNumber, leafB.Certificate.NotAfter)
+	reqB := requestFor(t, f, leafB)
+
+	resA, err := r.Respond(context.Background(), reqA)
+	if err != nil || resA.Source != SourceSigned {
+		t.Fatalf("first A response: source %v, err %v", resA.Source, err)
+	}
+	keyB, ok := r.cacheKeyFor(reqB, f.clk.Now())
+	if !ok {
+		t.Fatal("cached-mode request not cacheable")
+	}
+	r.cache.put(keyB, reqA, resA.DER, resA.Meta)
+	if _, _, hit := r.cache.get(keyB, reqB); hit {
+		t.Fatal("colliding key with different request DER was served")
+	}
+
+	resB, err := r.Respond(context.Background(), reqB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resB.Source != SourceSigned || bytes.Equal(resB.DER, resA.DER) {
+		t.Fatalf("B served from the forged entry: source %v", resB.Source)
+	}
+	if st := mustParse(t, resB.DER).Responses; len(st) != 1 || st[0].CertID.Serial.Cmp(leafB.Certificate.SerialNumber) != 0 {
+		t.Fatalf("B's response does not answer B's serial: %+v", st)
+	}
+	again, err := r.Respond(context.Background(), reqB)
+	if err != nil || again.Source != SourceCache || !bytes.Equal(again.DER, resB.DER) {
+		t.Fatalf("B's fresh response not cached over the forged entry: source %v, err %v", again.Source, err)
 	}
 }
 

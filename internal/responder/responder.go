@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/memo"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/pki"
 	"github.com/netmeasure/muststaple/internal/pkixutil"
@@ -340,7 +341,7 @@ type Responder struct {
 	// counterpart proving the cache changes no observable bytes.
 	onDemandSign bool
 
-	cache *responseCache
+	cache responseCache
 
 	// phase is the responder's update-window phase offset, derived once
 	// from the host name (see windowStart).
@@ -388,7 +389,6 @@ func New(host string, ca *pki.CA, db *DB, clk clock.Clock, profile Profile, opts
 		Clock:   clk,
 		DB:      db,
 		Profile: profile,
-		cache:   newResponseCache(),
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -593,7 +593,7 @@ func (r *Responder) cacheKeyFor(reqDER []byte, now time.Time) (respKey, bool) {
 	if r.onDemandSign {
 		return respKey{}, false
 	}
-	h := fnv64(reqDER)
+	h := memo.Hash(reqDER)
 	if r.Profile.CacheResponses {
 		return respKey{hash: h, epoch: r.windowStart(now).UnixNano()}, true
 	}
@@ -623,7 +623,7 @@ func (r *Responder) shouldCache(req *ocsp.Request) bool {
 // responders as on-demand.
 func (r *Responder) windowStart(now time.Time) time.Time {
 	interval := r.Profile.updateInterval()
-	r.phaseOnce.Do(func() { r.phase = time.Duration(fnv32(r.Host)) % interval })
+	r.phaseOnce.Do(func() { r.phase = time.Duration(memo.Hash32(r.Host)) % interval })
 	ws := now.Add(-r.phase).Truncate(interval).Add(r.phase)
 	if ws.After(now) {
 		ws = ws.Add(-interval)
@@ -686,7 +686,7 @@ func (r *Responder) generateFor(req *ocsp.Request, now time.Time) ([]byte, Meta,
 		// Pick a pseudo-random farm instance; its generation time is
 		// skewed back by its index, so producedAt can regress between
 		// consecutive fetches.
-		idx := int(fnv32(instanceKey(req)+now.Format(time.RFC3339)) % uint32(r.Profile.Instances))
+		idx := int(memo.Hash32(instanceKey(req)+now.Format(time.RFC3339)) % uint32(r.Profile.Instances))
 		skew := r.Profile.InstanceSkew
 		if skew == 0 {
 			skew = time.Minute
@@ -705,15 +705,6 @@ func instanceKey(req *ocsp.Request) string {
 		key += id.Serial.String() + "|"
 	}
 	return key
-}
-
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // generate builds and signs a fresh response. genTime is the nominal

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/memo"
 	"github.com/netmeasure/muststaple/internal/ocsp"
 	"github.com/netmeasure/muststaple/internal/pki"
 	"github.com/netmeasure/muststaple/internal/responder"
@@ -35,9 +36,8 @@ func responseBody(t testing.TB, w *world) []byte {
 
 // TestParseCacheCollision forces two distinct equal-length bodies onto the
 // same (hash, length) cache key and demands that neither is served the
-// other's parse. Real FNV-64 collisions are infeasible to construct, so the
-// test injects the hash through parseResponseHashed — the exact path
-// parseResponse takes after hashing.
+// other's parse. The test injects the hash through parseResponseHashed —
+// the exact path parseResponse takes after hashing.
 func TestParseCacheCollision(t *testing.T) {
 	w := newWorld(t, responder.Profile{})
 	good := responseBody(t, w)
@@ -50,7 +50,7 @@ func TestParseCacheCollision(t *testing.T) {
 	bad[0] ^= 0xFF
 
 	c := &Client{Transport: w.net}
-	h := fnvSum(good)
+	h := memo.Hash(good)
 
 	resp, err := c.parseResponseHashed(h, good)
 	if err != nil || resp == nil {
@@ -76,24 +76,32 @@ func TestParseCacheCollision(t *testing.T) {
 	}
 }
 
-// TestShardedCacheEviction checks the bounded per-shard eviction: a shard
-// over budget is trimmed to half, never wholesale-reset, and the
-// just-inserted entry always survives.
+// TestShardedCacheEviction fills one shard of the client's parse cache
+// at parseBudget and checks the shard stays within its share of that
+// budget without dropping below half of it.
 func TestShardedCacheEviction(t *testing.T) {
-	var c shardedCache[int, int]
-	const budget = 100
+	var c Client
+	perShard := parseBudget / 64
 	// Hashes i<<6 all select shard 0 (low six bits zero, high word zero).
-	for i := 0; i < 3*budget; i++ {
-		c.put(uint64(i)<<6, i, i, budget)
-		if v, ok := c.get(uint64(i)<<6, i); !ok || v != i {
+	for i := 0; i < 3*perShard; i++ {
+		key := parseKey{hash: uint64(i) << 6, length: i}
+		c.parseCache.Put(key.hash, key, parsedEntry{body: []byte{byte(i)}}, parseBudget)
+		if e, ok := c.parseCache.Get(key.hash, key); !ok || e.body[0] != byte(i) {
 			t.Fatalf("entry %d missing immediately after insert", i)
 		}
 	}
-	if n := c.size(); n > budget+1 {
-		t.Fatalf("shard grew past its budget: %d entries > %d", n, budget+1)
+	n := 0
+	for i := 0; i < 3*perShard; i++ {
+		key := parseKey{hash: uint64(i) << 6, length: i}
+		if _, ok := c.parseCache.Get(key.hash, key); ok {
+			n++
+		}
 	}
-	if n := c.size(); n < budget/2 {
-		t.Fatalf("eviction dropped too much: %d entries < %d", n, budget/2)
+	if n > perShard {
+		t.Fatalf("shard grew past its budget: %d entries > %d", n, perShard)
+	}
+	if n < perShard/2 {
+		t.Fatalf("eviction dropped too much: %d entries < %d", n, perShard/2)
 	}
 }
 
@@ -106,7 +114,7 @@ func TestClientCacheStress(t *testing.T) {
 	bad := make([]byte, len(good))
 	copy(bad, good)
 	bad[0] ^= 0xFF
-	h := fnvSum(good)
+	h := memo.Hash(good)
 
 	c := &Client{Transport: w.net}
 	var wg sync.WaitGroup

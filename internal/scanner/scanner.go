@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"github.com/netmeasure/muststaple/internal/clock"
+	"github.com/netmeasure/muststaple/internal/memo"
 	"github.com/netmeasure/muststaple/internal/metrics"
 	"github.com/netmeasure/muststaple/internal/netsim"
 	"github.com/netmeasure/muststaple/internal/ocsp"
@@ -255,14 +256,21 @@ type Client struct {
 	// on identical input cannot change the outcome.
 	DisableVerifyCache bool
 
-	// The memoization caches are sharded by content hash (cache.go) so
-	// concurrent campaign workers don't serialize on one mutex.
-	verifyCache shardedCache[verifyKey, bool]
-	parseCache  shardedCache[parseKey, parsedEntry]
-	reqCache    shardedCache[string, requestEntry]
+	// The memoization caches are sharded by content hash so concurrent
+	// campaign workers don't serialize on one mutex.
+	verifyCache memo.Cache[verifyKey, bool]
+	parseCache  memo.Cache[parseKey, parsedEntry]
+	reqCache    memo.Cache[string, requestEntry]
 }
 
-// parseKey identifies a response body by (FNV-64 hash, length). The length
+// Entry budgets of the parse and verify caches. The request cache is
+// unbounded; its key space is the campaign's target list.
+const (
+	parseBudget  = 1 << 17
+	verifyBudget = 1 << 18
+)
+
+// parseKey identifies a response body by (memo.Hash, length). The length
 // disambiguates most accidental collisions cheaply; the stored body makes
 // the check exact (see parseResponseHashed).
 type parseKey struct {
@@ -290,8 +298,8 @@ type requestEntry struct {
 // request bytes never change.
 func (c *Client) requestFor(tgt Target) (*ocsp.Request, []byte, error) {
 	key := tgt.Responder + "|" + tgt.Serial.String()
-	h := fnvSumString(key)
-	if e, ok := c.reqCache.get(h, key); ok {
+	h := memo.Hash(key)
+	if e, ok := c.reqCache.Get(h, key); ok {
 		return e.req, e.der, e.err
 	}
 
@@ -300,8 +308,7 @@ func (c *Client) requestFor(tgt Target) (*ocsp.Request, []byte, error) {
 	if err == nil {
 		der, err = req.Marshal()
 	}
-	// Unbounded: the key space is the target list, fixed per campaign.
-	c.reqCache.put(h, key, requestEntry{req: req, der: der, err: err}, 0)
+	c.reqCache.Put(h, key, requestEntry{req: req, der: der, err: err}, 0)
 	return req, der, err
 }
 
@@ -310,23 +317,23 @@ func (c *Client) requestFor(tgt Target) (*ocsp.Request, []byte, error) {
 // change the result. Callers must treat the shared *ocsp.Response as
 // read-only.
 func (c *Client) parseResponse(body []byte) (*ocsp.Response, error) {
-	return c.parseResponseHashed(fnvSum(body), body)
+	return c.parseResponseHashed(memo.Hash(body), body)
 }
 
 // parseResponseHashed is the hash-injectable core of parseResponse,
 // separated so the regression test can force a cache-key collision (a real
-// FNV-64 collision is infeasible to construct). A hit is served only when
+// collision is impractical to find by search). A hit is served only when
 // the stored body matches the request bytes exactly; a colliding body is
 // parsed fresh and overwrites the slot.
 func (c *Client) parseResponseHashed(h uint64, body []byte) (*ocsp.Response, error) {
 	key := parseKey{hash: h, length: len(body)}
-	if e, ok := c.parseCache.get(h, key); ok && bytes.Equal(e.body, body) {
+	if e, ok := c.parseCache.Get(h, key); ok && bytes.Equal(e.body, body) {
 		return e.resp, e.err
 	}
 	resp, err := ocsp.ParseResponse(body)
 	stored := make([]byte, len(body))
 	copy(stored, body)
-	c.parseCache.put(h, key, parsedEntry{resp: resp, err: err, body: stored}, parseShardBudget)
+	c.parseCache.Put(h, key, parsedEntry{resp: resp, err: err, body: stored}, parseBudget)
 	return resp, err
 }
 
@@ -345,42 +352,14 @@ func (c *Client) checkSignature(resp *ocsp.Response, issuer *x509.Certificate) b
 	if c.DisableVerifyCache {
 		return resp.CheckSignatureFrom(issuer) == nil
 	}
-	h := fnvSum(resp.Raw)
+	h := memo.Hash(resp.Raw)
 	key := verifyKey{bodyHash: h, bodyLen: len(resp.Raw), issuerSerial: issuer.SerialNumber.String()}
-	if ok, hit := c.verifyCache.get(h, key); hit {
+	if ok, hit := c.verifyCache.Get(h, key); hit {
 		return ok
 	}
 	ok := resp.CheckSignatureFrom(issuer) == nil
-	c.verifyCache.put(h, key, ok, verifyShardBudget)
+	c.verifyCache.Put(h, key, ok, verifyBudget)
 	return ok
-}
-
-func fnvSum(b []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
-}
-
-// fnvSumString is fnvSum over a string without the []byte conversion
-// allocation on the request-cache hot path.
-func fnvSumString(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
 }
 
 func (c *Client) method() string {

@@ -119,8 +119,11 @@ func (l *ReportLog) openSegment(index int) error {
 // Append frames and writes one payload, rotating the segment when the
 // size threshold is crossed. The payload is copied into the write buffer
 // before Append returns, so callers may reuse it (the collector's pooled
-// read buffer depends on this).
+// read buffer depends on this). Append after Close returns ErrClosed.
 func (l *ReportLog) Append(payload []byte) error {
+	if l.bw == nil {
+		return ErrClosed
+	}
 	if len(payload) == 0 {
 		return errors.New("store: empty report payload")
 	}

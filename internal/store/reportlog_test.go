@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -104,6 +105,39 @@ func TestReportLogRejectsBadAppends(t *testing.T) {
 	}
 	if err := l.Append(make([]byte, maxRecordSize+1)); err == nil {
 		t.Fatal("oversized payload accepted")
+	}
+}
+
+// TestReportLogAppendAfterClose: a closed log refuses further appends
+// with ErrClosed instead of writing through its released buffer, and the
+// records appended before Close stay readable.
+func TestReportLogAppendAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	l, err := CreateReportLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte("after")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Append after Close = %v, want ErrClosed", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("second Close = %v, want nil", err)
+	}
+	var got []string
+	if err := ScanReportLog(dir, func(p []byte) error {
+		got = append(got, string(p))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != "before" {
+		t.Fatalf("persisted %q, want [before]", got)
 	}
 }
 

@@ -50,6 +50,12 @@
 #                 prints each workload's result line. SEED and SECONDS set
 #                 the input seed and measurement time. For a traced run
 #                 (per-layer ledger) call perfbench/run.py with --trace 1.
+#   fuzzcheck   — tier-2 hostile-input gate: runs every native fuzz target
+#                 for FUZZTIME (default 30s) — the OCSP response and
+#                 request parsers against their reflective encoding/asn1
+#                 reference, the GET-path decoders against each other,
+#                 the Expect-Staple report decoder and the store's record
+#                 codec — and fails on the first finding.
 #   racecheck   — focused race-detector pass over the concurrent hot-path
 #                 packages (serving tier, load generator, responder,
 #                 scanner, store, engine core, shared memo cache) under
@@ -70,7 +76,7 @@ RACE_PKGS = ./internal/ocspserver ./internal/loadgen ./internal/responder \
 	./internal/scanner ./internal/store ./internal/core ./internal/expectstaple \
 	./internal/memo
 
-.PHONY: all tier1 tier2 loadcheck capacitycheck staplecheck memcheck racecheck bench-guard bench bench-snapshot bench-compare perfbench crash-recovery vet fmt fmt-check lint
+.PHONY: all tier1 tier2 fuzzcheck loadcheck capacitycheck staplecheck memcheck racecheck bench-guard bench bench-snapshot bench-compare perfbench crash-recovery vet fmt fmt-check lint
 
 all: tier1
 
@@ -78,13 +84,25 @@ tier1: vet fmt-check lint
 	$(GO) build ./...
 	$(GO) test ./...
 
-tier2: vet lint racecheck loadcheck capacitycheck staplecheck memcheck
+tier2: vet lint racecheck fuzzcheck loadcheck capacitycheck staplecheck memcheck
 	$(GO) test -race ./...
 
 # racecheck is the quick race gate: -short keeps each package's suite to
 # its fast paths, so the whole pass stays well under the full -race run.
 racecheck:
 	$(GO) test -race -short $(RACE_PKGS)
+
+# fuzzcheck runs each fuzz target (package:name) alone for FUZZTIME.
+FUZZTIME ?= 30s
+FUZZ_TARGETS = ./internal/ocsp:FuzzParseResponse ./internal/ocsp:FuzzParseRequest \
+	./internal/ocsp:FuzzDecodeGETPath ./internal/expectstaple:FuzzReportDecode \
+	./internal/store:FuzzRecordRoundTrip
+
+fuzzcheck:
+	@for t in $(FUZZ_TARGETS); do \
+		echo "== $${t##*:} for $(FUZZTIME)"; \
+		$(GO) test "$${t%%:*}" -run '^$$' -fuzz "^$${t##*:}\$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 # loadcheck boots a self-contained serving tier (own CA, loopback
 # listener) and drives a 2s open-loop burst; -check fails the run on

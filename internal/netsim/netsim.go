@@ -312,9 +312,19 @@ func (n *Network) DoSimple(vantage Vantage, at time.Time, method, rawURL string,
 
 // latency derives a deterministic per-(vantage, host, hour) latency: the
 // vantage RTT floor plus a stable pseudo-random jitter. Deterministic so
-// repeated runs of a seeded world produce identical figures.
+// repeated runs of a seeded world produce identical figures. The jitter
+// hashes "name|host|hour" with the hour in RFC 3339, built in a stack
+// buffer.
+//
+//lint:allocfree
 func (n *Network) latency(v Vantage, host string, at time.Time) time.Duration {
-	h := memo.Hash(v.Name + "|" + host + "|" + at.Truncate(time.Hour).Format(time.RFC3339))
+	key := make([]byte, 0, 128)
+	key = append(key, v.Name...)
+	key = append(key, '|')
+	key = append(key, host...)
+	key = append(key, '|')
+	key = at.Truncate(time.Hour).AppendFormat(key, time.RFC3339)
+	h := memo.Hash(key)
 	jitter := time.Duration(h%20) * time.Millisecond
 	return v.BaseRTT + jitter
 }

@@ -3,8 +3,11 @@ package netsim
 import (
 	"errors"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
+
+	"github.com/netmeasure/muststaple/internal/memo"
 )
 
 var t0 = time.Date(2018, 4, 25, 0, 0, 0, 0, time.UTC)
@@ -178,6 +181,34 @@ func TestLatencyDeterminism(t *testing.T) {
 	c, _ := n.DoSimple(seoul(), t0, http.MethodGet, "http://ocsp.lat.test/", "", nil)
 	if a.Latency != c.Latency {
 		t.Error("latency must be deterministic")
+	}
+}
+
+// TestLatencyMatchesStringKey pins latency to the formula it had when it
+// hashed a concatenated string, over vantages, hosts (past the stack
+// buffer too) and instants in several zones, so no figure moves.
+func TestLatencyMatchesStringKey(t *testing.T) {
+	n := New()
+	hosts := []string{"", "ocsp.lat.test", "ocsp.digicert.com", strings.Repeat("long-host.", 20) + "test"}
+	zones := []*time.Location{time.UTC, time.FixedZone("", 5*3600+1800), time.FixedZone("PST", -8*3600)}
+	instants := []time.Time{t0, t0.Add(59 * time.Minute), t0.Add(90*time.Minute + 7*time.Second), time.Time{}, time.Date(9999, 12, 31, 23, 59, 0, 0, time.UTC)}
+	vantages := append(PaperVantages(), Vantage{Name: strings.Repeat("v", 150), BaseRTT: time.Millisecond})
+	for _, v := range vantages {
+		for _, host := range hosts {
+			for _, at := range instants {
+				for _, z := range zones {
+					at := at.In(z)
+					h := memo.Hash(v.Name + "|" + host + "|" + at.Truncate(time.Hour).Format(time.RFC3339))
+					want := v.BaseRTT + time.Duration(h%20)*time.Millisecond
+					if got := n.latency(v, host, at); got != want {
+						t.Fatalf("latency(%q, %q, %v) = %v, want %v", v.Name, host, at, got, want)
+					}
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { n.latency(seoul(), "ocsp.lat.test", t0) }); allocs != 0 {
+		t.Errorf("latency allocates %v times per call, want 0", allocs)
 	}
 }
 

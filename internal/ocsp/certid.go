@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto"
 	"crypto/x509"
-	"encoding/asn1"
 	"fmt"
 	"math/big"
 
@@ -19,14 +18,6 @@ type CertID struct {
 	// responders universally support SHA-1 here; SHA-256 is also
 	// accepted by this package.
 	HashAlgorithm  crypto.Hash
-	IssuerNameHash []byte
-	IssuerKeyHash  []byte
-	Serial         *big.Int
-}
-
-// certIDASN1 is the wire form of CertID.
-type certIDASN1 struct {
-	HashAlgorithm  pkixutil.AlgorithmIdentifier
 	IssuerNameHash []byte
 	IssuerKeyHash  []byte
 	Serial         *big.Int
@@ -80,50 +71,4 @@ func (c CertID) SameIssuer(o CertID) bool {
 	return c.HashAlgorithm == o.HashAlgorithm &&
 		bytes.Equal(c.IssuerNameHash, o.IssuerNameHash) &&
 		bytes.Equal(c.IssuerKeyHash, o.IssuerKeyHash)
-}
-
-func (c CertID) toASN1() (certIDASN1, error) {
-	alg, err := pkixutil.HashAlgorithmIdentifier(c.HashAlgorithm)
-	if err != nil {
-		return certIDASN1{}, err
-	}
-	if c.Serial == nil {
-		return certIDASN1{}, fmt.Errorf("ocsp: CertID has nil serial")
-	}
-	return certIDASN1{
-		HashAlgorithm:  alg,
-		IssuerNameHash: c.IssuerNameHash,
-		IssuerKeyHash:  c.IssuerKeyHash,
-		Serial:         c.Serial,
-	}, nil
-}
-
-func certIDFromASN1(w certIDASN1) (CertID, error) {
-	h, err := pkixutil.HashFromOID(w.HashAlgorithm.Algorithm)
-	if err != nil {
-		return CertID{}, fmt.Errorf("ocsp: CertID hash: %w", err)
-	}
-	return CertID{
-		HashAlgorithm:  h,
-		IssuerNameHash: w.IssuerNameHash,
-		IssuerKeyHash:  w.IssuerKeyHash,
-		Serial:         w.Serial,
-	}, nil
-}
-
-// extensionASN1 mirrors pkix.Extension without importing crypto/x509/pkix
-// into the wire structures.
-type extensionASN1 struct {
-	ID       asn1.ObjectIdentifier
-	Critical bool `asn1:"optional"`
-	Value    []byte
-}
-
-func findNonce(exts []extensionASN1) []byte {
-	for _, e := range exts {
-		if e.ID.Equal(pkixutil.OIDOCSPNonce) {
-			return e.Value
-		}
-	}
-	return nil
 }

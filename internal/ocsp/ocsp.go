@@ -1,9 +1,16 @@
 // Package ocsp is a from-scratch implementation of the Online Certificate
-// Status Protocol (RFC 6960) on top of encoding/asn1. It provides request
-// and response encoding/decoding, response signing and verification
-// (including OCSP signature authority delegation), the nonce extension,
-// multi-certificate requests and responses, and the HTTP GET/POST transport
-// encodings.
+// Status Protocol (RFC 6960). It provides request and response
+// encoding/decoding, response signing and verification (including OCSP
+// signature authority delegation), the nonce extension, multi-certificate
+// requests and responses, and the HTTP GET/POST transport encodings.
+//
+// The DER is written and read by a fixed-shape codec (der.go, on
+// pkixutil's DERBuilder and DERCursor) rather than encoding/asn1
+// reflection: the campaign parses and signs millions of responses. The
+// codec emits the bytes encoding/asn1 would and accepts exactly what it
+// would accept, quirks included; reference_test.go keeps the reflective
+// implementation as the oracle its differential tests and fuzz targets
+// compare against.
 //
 // Unlike golang.org/x/crypto/ocsp (which this module deliberately does not
 // use), this package supports multiple single requests per OCSP request and

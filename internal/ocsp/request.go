@@ -1,11 +1,10 @@
 package ocsp
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/x509"
-	"encoding/asn1"
 	"errors"
-	"fmt"
 	"math/big"
 
 	"github.com/netmeasure/muststaple/internal/pkixutil"
@@ -20,25 +19,6 @@ type Request struct {
 	// Nonce, if non-empty, is carried in the id-pkix-ocsp-nonce request
 	// extension to bind the response to this request.
 	Nonce []byte
-}
-
-// Wire structures (RFC 6960 §4.1.1). Request signing (optionalSignature) is
-// intentionally unsupported: no public responder requires it and the paper's
-// measurement client never signs requests.
-type ocspRequestASN1 struct {
-	TBSRequest tbsRequestASN1
-}
-
-type tbsRequestASN1 struct {
-	Version       int           `asn1:"explicit,tag:0,default:0,optional"`
-	RequestorName asn1.RawValue `asn1:"explicit,tag:1,optional"`
-	RequestList   []singleRequestASN1
-	Extensions    []extensionASN1 `asn1:"explicit,tag:2,optional"`
-}
-
-type singleRequestASN1 struct {
-	CertID     certIDASN1
-	Extensions []extensionASN1 `asn1:"explicit,tag:0,optional"`
 }
 
 // NewRequest builds a single-certificate request for cert issued by issuer.
@@ -59,62 +39,89 @@ func NewRequestForSerial(serial *big.Int, issuer *x509.Certificate, h crypto.Has
 	return &Request{CertIDs: []CertID{id}}, nil
 }
 
-// Marshal encodes the request as DER.
+// Marshal encodes the request as DER. Request signing (optionalSignature)
+// is intentionally unsupported: no public responder requires it and the
+// paper's measurement client never signs requests.
 func (r *Request) Marshal() ([]byte, error) {
 	if len(r.CertIDs) == 0 {
 		return nil, errors.New("ocsp: request has no CertIDs")
 	}
-	var tbs tbsRequestASN1
-	for _, id := range r.CertIDs {
-		w, err := id.toASN1()
-		if err != nil {
-			return nil, err
+	return buildPooled(func(b *pkixutil.DERBuilder) error {
+		req := b.Begin(tagSequence)
+		tbs := b.Begin(tagSequence)
+		list := b.Begin(tagSequence)
+		for i := range r.CertIDs {
+			single := b.Begin(tagSequence)
+			if err := appendCertID(b, &r.CertIDs[i]); err != nil {
+				return err
+			}
+			b.End(single)
 		}
-		tbs.RequestList = append(tbs.RequestList, singleRequestASN1{CertID: w})
-	}
-	if len(r.Nonce) > 0 {
-		nonceDER, err := asn1.Marshal(r.Nonce)
-		if err != nil {
-			return nil, fmt.Errorf("ocsp: marshal nonce: %w", err)
+		b.End(list)
+		if len(r.Nonce) > 0 {
+			appendNonceExtension(b, tagExplicit2, r.Nonce)
 		}
-		tbs.Extensions = []extensionASN1{{ID: pkixutil.OIDOCSPNonce, Value: nonceDER}}
-	}
-	der, err := asn1.Marshal(ocspRequestASN1{TBSRequest: tbs})
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: marshal request: %w", err)
-	}
-	return der, nil
+		b.End(tbs)
+		b.End(req)
+		return nil
+	})
 }
 
-// ParseRequest decodes a DER OCSP request.
+// ParseRequest decodes a DER OCSP request. A signed request's signature
+// is ignored. The request's byte fields are copies, so der may be reused
+// once this returns.
 func ParseRequest(der []byte) (*Request, error) {
-	var w ocspRequestASN1
-	rest, err := asn1.Unmarshal(der, &w)
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: parse request: %w", err)
+	top := pkixutil.NewDERCursor(der)
+	outer := pkixutil.NewDERCursor(top.Read(tagSequence))
+	if top.Failed() {
+		return nil, errMalformed("request")
 	}
-	if len(rest) != 0 {
+	if !top.Empty() {
 		return nil, errors.New("ocsp: trailing data after request")
 	}
-	if len(w.TBSRequest.RequestList) == 0 {
-		return nil, errors.New("ocsp: request has empty requestList")
+	tbs := pkixutil.NewDERCursor(outer.Read(tagSequence))
+	tbs.ReadExplicitInt(0, tagInteger, 64, 0) // version
+	tbs.ReadExplicit(1, tagAny)               // requestorName
+	list := pkixutil.NewDERCursor(tbs.Read(tagSequence))
+	exts, hasExts := tbs.ReadExplicit(2, tagSequence)
+	if outer.Failed() || tbs.Failed() {
+		return nil, errMalformed("request")
 	}
+
 	req := &Request{}
-	for _, sr := range w.TBSRequest.RequestList {
-		id, err := certIDFromASN1(sr.CertID)
+	for !list.Empty() {
+		single := pkixutil.NewDERCursor(list.Read(tagSequence))
+		id, err := readCertID(&single)
 		if err != nil {
 			return nil, err
 		}
+		if singleExts, ok := single.ReadExplicit(0, tagSequence); ok {
+			if _, _, err := readExtensions(singleExts); err != nil {
+				return nil, err
+			}
+		}
+		if list.Failed() || single.Failed() {
+			return nil, errMalformed("request")
+		}
+		// One copy backs both hashes: the request bytes are often a
+		// pooled read buffer.
+		hashes := append(append(make([]byte, 0, len(id.IssuerNameHash)+len(id.IssuerKeyHash)),
+			id.IssuerNameHash...), id.IssuerKeyHash...)
+		n := len(id.IssuerNameHash)
+		id.IssuerNameHash, id.IssuerKeyHash = hashes[:n:n], hashes[n:]
 		req.CertIDs = append(req.CertIDs, id)
 	}
-	if nonceDER := findNonce(w.TBSRequest.Extensions); nonceDER != nil {
-		var nonce []byte
-		if _, err := asn1.Unmarshal(nonceDER, &nonce); err != nil {
-			// Some clients put the raw nonce bytes in the extension
-			// value without the OCTET STRING wrapper; tolerate that.
-			nonce = nonceDER
+	if len(req.CertIDs) == 0 {
+		return nil, errors.New("ocsp: request has empty requestList")
+	}
+	if hasExts {
+		v, found, err := readExtensions(exts)
+		if err != nil {
+			return nil, err
 		}
-		req.Nonce = nonce
+		if found {
+			req.Nonce = bytes.Clone(decodeNonce(v))
+		}
 	}
 	return req, nil
 }

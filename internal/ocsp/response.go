@@ -1,6 +1,7 @@
 package ocsp
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/x509"
 	"encoding/asn1"
@@ -84,45 +85,6 @@ type Response struct {
 	RawTBS []byte
 }
 
-// Wire structures.
-type ocspResponseASN1 struct {
-	Status        asn1.Enumerated
-	ResponseBytes responseBytesASN1 `asn1:"explicit,tag:0,optional"`
-}
-
-type responseBytesASN1 struct {
-	ResponseType asn1.ObjectIdentifier
-	Response     []byte
-}
-
-type basicResponseASN1 struct {
-	TBSResponseData    asn1.RawValue
-	SignatureAlgorithm pkixutil.AlgorithmIdentifier
-	Signature          asn1.BitString
-	Certificates       []asn1.RawValue `asn1:"explicit,tag:0,optional"`
-}
-
-type responseDataASN1 struct {
-	Version     int           `asn1:"explicit,tag:0,default:0,optional"`
-	ResponderID asn1.RawValue // CHOICE { byName [1] Name, byKey [2] OCTET STRING }
-	ProducedAt  time.Time     `asn1:"generalized"`
-	Responses   []singleResponseASN1
-	Extensions  []extensionASN1 `asn1:"explicit,tag:1,optional"`
-}
-
-type singleResponseASN1 struct {
-	CertID     certIDASN1
-	CertStatus asn1.RawValue   // CHOICE, context tags 0/1/2
-	ThisUpdate time.Time       `asn1:"generalized"`
-	NextUpdate time.Time       `asn1:"generalized,explicit,tag:0,optional"`
-	Extensions []extensionASN1 `asn1:"explicit,tag:1,optional"`
-}
-
-type revokedInfoASN1 struct {
-	RevocationTime time.Time       `asn1:"generalized"`
-	Reason         asn1.Enumerated `asn1:"explicit,tag:0,optional,default:-1"`
-}
-
 // ResponderTemplate describes the responder identity and signing setup used
 // by CreateResponse.
 type ResponderTemplate struct {
@@ -151,37 +113,34 @@ type ResponderTemplate struct {
 	// it is computed once and reused across every response the template
 	// signs.
 	ridOnce sync.Once
-	rid     asn1.RawValue
+	rid     []byte
 	ridErr  error
 }
 
-// responderID returns the memoized ResponderID: the byKey arm hashes the
-// responder certificate's public key (or byName wraps its subject), which
-// never changes over a template's lifetime.
-func (t *ResponderTemplate) responderID() (asn1.RawValue, error) {
+// responderID returns the memoized DER ResponderID: the byKey arm hashes
+// the responder certificate's public key (or byName wraps its subject),
+// which never changes over a template's lifetime.
+func (t *ResponderTemplate) responderID() ([]byte, error) {
 	t.ridOnce.Do(func() {
+		b := pkixutil.NewDERBuilder(nil)
 		if t.ByName {
-			t.rid, t.ridErr = marshalExplicit(1, t.Certificate.RawSubject)
-			return
+			n := b.Begin(tagExplicit1)
+			b.Raw(t.Certificate.RawSubject)
+			b.End(n)
+		} else {
+			keyHash, err := pkixutil.IssuerKeyHash(t.Certificate, crypto.SHA1)
+			if err != nil {
+				t.ridErr = err
+				return
+			}
+			k := b.Begin(tagExplicit2)
+			b.Element(tagOctetString, keyHash)
+			b.End(k)
 		}
-		keyHash, err := pkixutil.IssuerKeyHash(t.Certificate, crypto.SHA1)
-		if err != nil {
-			t.ridErr = err
-			return
-		}
-		keyDER, err := asn1.Marshal(keyHash)
-		if err != nil {
-			t.ridErr = err
-			return
-		}
-		t.rid, t.ridErr = marshalExplicit(2, keyDER)
+		t.rid, t.ridErr = b.Bytes()
 	})
 	return t.rid, t.ridErr
 }
-
-// singlesPool recycles the wire-format single-response slices built per
-// CreateResponse call; the slice is dead once the TBS bytes are marshalled.
-var singlesPool = sync.Pool{New: func() any { s := make([]singleResponseASN1, 0, 8); return &s }}
 
 // CreateResponse builds and signs a successful BasicOCSPResponse asserting
 // the given single responses, produced at producedAt, echoing nonce if
@@ -193,60 +152,59 @@ func CreateResponse(tmpl *ResponderTemplate, producedAt time.Time, singles []Sin
 	if len(singles) == 0 {
 		return nil, errors.New("ocsp: no single responses")
 	}
-
-	var rd responseDataASN1
-	rd.ProducedAt = producedAt.UTC().Truncate(time.Second)
-
 	rid, err := tmpl.responderID()
 	if err != nil {
 		return nil, err
 	}
-	rd.ResponderID = rid
+	return buildPooled(func(b *pkixutil.DERBuilder) error {
+		resp := b.Begin(tagSequence)
+		b.Int64(tagEnumerated, int64(StatusSuccessful))
+		wrap := b.Begin(tagExplicit0)
+		rb := b.Begin(tagSequence)
+		b.Raw(oidOCSPBasicDER)
+		octets := b.Begin(tagOctetString)
+		basic := b.Begin(tagSequence)
 
-	sp := singlesPool.Get().(*[]singleResponseASN1)
-	rd.Responses = (*sp)[:0]
-	defer func() { *sp = rd.Responses[:0]; singlesPool.Put(sp) }()
-	for _, s := range singles {
-		w, err := singleToASN1(s)
-		if err != nil {
-			return nil, err
+		tbs := b.Begin(tagSequence)
+		b.Raw(rid)
+		b.GeneralizedTime(producedAt.UTC().Truncate(time.Second))
+		list := b.Begin(tagSequence)
+		for i := range singles {
+			if err := appendSingle(b, &singles[i]); err != nil {
+				return err
+			}
 		}
-		rd.Responses = append(rd.Responses, w)
-	}
-
-	if len(nonce) > 0 {
-		nonceDER, err := asn1.Marshal(nonce)
-		if err != nil {
-			return nil, err
+		b.End(list)
+		if len(nonce) > 0 {
+			appendNonceExtension(b, tagExplicit1, nonce)
 		}
-		rd.Extensions = []extensionASN1{{ID: pkixutil.OIDOCSPNonce, Value: nonceDER}}
-	}
+		tbsDER := b.End(tbs)
+		if _, err := b.Bytes(); err != nil {
+			return fmt.Errorf("ocsp: marshal responseData: %w", err)
+		}
 
-	tbs, err := asn1.Marshal(rd)
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: marshal responseData: %w", err)
-	}
-
-	sigAlg, sig, err := pkixutil.SignTBS(tmpl.Rand, tmpl.Signer, tbs)
-	if err != nil {
-		return nil, err
-	}
-
-	basic := basicResponseASN1{
-		TBSResponseData:    asn1.RawValue{FullBytes: tbs},
-		SignatureAlgorithm: sigAlg,
-		Signature:          asn1.BitString{Bytes: sig, BitLength: len(sig) * 8},
-	}
-	for _, c := range tmpl.IncludeCertificates {
-		basic.Certificates = append(basic.Certificates, asn1.RawValue{FullBytes: c.Raw})
-	}
-
-	basicDER, err := asn1.Marshal(basic)
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: marshal basicResponse: %w", err)
-	}
-
-	return wrapResponseBytes(StatusSuccessful, basicDER)
+		sigAlg, sig, err := pkixutil.SignTBS(tmpl.Rand, tmpl.Signer, tbsDER)
+		if err != nil {
+			return err
+		}
+		b.AlgorithmIdentifier(sigAlg)
+		b.BitString(sig)
+		if len(tmpl.IncludeCertificates) > 0 {
+			certs := b.Begin(tagExplicit0)
+			seq := b.Begin(tagSequence)
+			for _, c := range tmpl.IncludeCertificates {
+				b.Raw(c.Raw)
+			}
+			b.End(seq)
+			b.End(certs)
+		}
+		b.End(basic)
+		b.End(octets)
+		b.End(rb)
+		b.End(wrap)
+		b.End(resp)
+		return nil
+	})
 }
 
 // CreateErrorResponse builds an unsigned OCSP error response (tryLater,
@@ -255,231 +213,136 @@ func CreateErrorResponse(status ResponseStatus) ([]byte, error) {
 	if status == StatusSuccessful {
 		return nil, errors.New("ocsp: successful responses need CreateResponse")
 	}
-	// Marshal just the status; the optional responseBytes is omitted.
-	type errorResponse struct {
-		Status asn1.Enumerated
-	}
-	der, err := asn1.Marshal(errorResponse{Status: asn1.Enumerated(status)})
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: marshal error response: %w", err)
-	}
-	return der, nil
-}
-
-func wrapResponseBytes(status ResponseStatus, basicDER []byte) ([]byte, error) {
-	w := ocspResponseASN1{
-		Status: asn1.Enumerated(status),
-		ResponseBytes: responseBytesASN1{
-			ResponseType: pkixutil.OIDOCSPBasic,
-			Response:     basicDER,
-		},
-	}
-	der, err := asn1.Marshal(w)
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: marshal response: %w", err)
-	}
-	return der, nil
-}
-
-func singleToASN1(s SingleResponse) (singleResponseASN1, error) {
-	idW, err := s.CertID.toASN1()
-	if err != nil {
-		return singleResponseASN1{}, err
-	}
-	w := singleResponseASN1{
-		CertID:     idW,
-		ThisUpdate: s.ThisUpdate.UTC().Truncate(time.Second),
-	}
-	if !s.NextUpdate.IsZero() {
-		w.NextUpdate = s.NextUpdate.UTC().Truncate(time.Second)
-	}
-	switch s.Status {
-	case Good:
-		w.CertStatus = asn1.RawValue{Class: asn1.ClassContextSpecific, Tag: 0}
-	case Unknown:
-		w.CertStatus = asn1.RawValue{Class: asn1.ClassContextSpecific, Tag: 2}
-	case Revoked:
-		// Reason defaults to the ReasonAbsent sentinel, which matches
-		// the struct tag's default and is therefore omitted from the
-		// encoding — revocations without a reason code carry none.
-		ri := revokedInfoASN1{
-			RevocationTime: s.RevokedAt.UTC().Truncate(time.Second),
-			Reason:         asn1.Enumerated(pkixutil.ReasonAbsent),
-		}
-		if s.Reason != pkixutil.ReasonAbsent {
-			ri.Reason = asn1.Enumerated(s.Reason)
-		}
-		riDER, err := asn1.Marshal(ri)
-		if err != nil {
-			return singleResponseASN1{}, fmt.Errorf("ocsp: marshal revokedInfo: %w", err)
-		}
-		// Re-tag the SEQUENCE as implicit [1]: keep the contents,
-		// replace the outer tag.
-		var raw asn1.RawValue
-		if _, err := asn1.Unmarshal(riDER, &raw); err != nil {
-			return singleResponseASN1{}, err
-		}
-		w.CertStatus = asn1.RawValue{
-			Class:      asn1.ClassContextSpecific,
-			Tag:        1,
-			IsCompound: true,
-			Bytes:      raw.Bytes,
-		}
-	default:
-		return singleResponseASN1{}, fmt.Errorf("ocsp: unsupported cert status %v", s.Status)
-	}
-	return w, nil
-}
-
-// marshalExplicit wraps already-DER-encoded inner bytes in an explicit
-// context-specific tag.
-func marshalExplicit(tag int, inner []byte) (asn1.RawValue, error) {
-	b, err := asn1.Marshal(asn1.RawValue{
-		Class:      asn1.ClassContextSpecific,
-		Tag:        tag,
-		IsCompound: true,
-		Bytes:      inner,
-	})
-	if err != nil {
-		return asn1.RawValue{}, err
-	}
-	return asn1.RawValue{FullBytes: b}, nil
+	b := pkixutil.NewDERBuilder(make([]byte, 0, 12))
+	resp := b.Begin(tagSequence)
+	b.Int64(tagEnumerated, int64(status))
+	b.End(resp)
+	return b.Bytes()
 }
 
 // ParseResponse decodes a DER OCSP response. It performs structural
 // validation only; signature verification is a separate step
 // (CheckSignatureFrom) so that the measurement pipeline can classify
 // "parseable but badly signed" separately from "unparseable" — the two
-// distinct error classes in Figure 5 of the paper.
+// distinct error classes in Figure 5 of the paper. The response's byte
+// fields alias der, which must not change while the response is in use.
 func ParseResponse(der []byte) (*Response, error) {
-	var w ocspResponseASN1
-	rest, err := asn1.Unmarshal(der, &w)
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: parse response: %w", err)
+	top := pkixutil.NewDERCursor(der)
+	outer := pkixutil.NewDERCursor(top.Read(tagSequence))
+	if top.Failed() {
+		return nil, errMalformed("response")
 	}
-	if len(rest) != 0 {
+	if !top.Empty() {
 		return nil, errors.New("ocsp: trailing data after response")
 	}
-	resp := &Response{Status: ResponseStatus(w.Status), Raw: der}
+	status := outer.ReadInt(tagEnumerated, 32)
+	var respType, basicDER []byte
+	if rb, ok := outer.ReadExplicit(0, tagSequence); ok {
+		c := pkixutil.NewDERCursor(rb)
+		respType = c.ReadOID()
+		basicDER = c.Read(tagOctetString)
+		if c.Failed() {
+			return nil, errMalformed("responseBytes")
+		}
+	}
+	if outer.Failed() {
+		return nil, errMalformed("response")
+	}
+	resp := &Response{Status: ResponseStatus(status), Raw: der}
 	if !resp.Status.Valid() {
-		return nil, fmt.Errorf("ocsp: undefined response status %d", int(w.Status))
+		return nil, fmt.Errorf("ocsp: undefined response status %d", status)
 	}
 	if resp.Status != StatusSuccessful {
 		return resp, nil
 	}
-	if !w.ResponseBytes.ResponseType.Equal(pkixutil.OIDOCSPBasic) {
-		return nil, fmt.Errorf("ocsp: unsupported response type %v", w.ResponseBytes.ResponseType)
+	if !bytes.Equal(respType, oidOCSPBasicDER[2:]) {
+		return nil, errors.New("ocsp: unsupported response type")
 	}
 
-	var basic basicResponseASN1
-	rest, err = asn1.Unmarshal(w.ResponseBytes.Response, &basic)
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: parse basicResponse: %w", err)
-	}
-	if len(rest) != 0 {
+	top = pkixutil.NewDERCursor(basicDER)
+	basic := pkixutil.NewDERCursor(top.Read(tagSequence))
+	if !top.Failed() && !top.Empty() {
 		return nil, errors.New("ocsp: trailing data after basicResponse")
 	}
-
-	resp.RawTBS = basic.TBSResponseData.FullBytes
-	resp.SignatureAlgorithm = basic.SignatureAlgorithm.Algorithm
-	resp.Signature = basic.Signature.RightAlign()
-
-	var rd responseDataASN1
-	rest, err = asn1.Unmarshal(basic.TBSResponseData.FullBytes, &rd)
-	if err != nil {
-		return nil, fmt.Errorf("ocsp: parse responseData: %w", err)
+	tbs, _, _, _ := basic.ReadAny()
+	alg := pkixutil.NewDERCursor(basic.Read(tagSequence))
+	sigOID := alg.ReadOID()
+	alg.SkipOptionalAny()
+	sig := basic.ReadBitString()
+	certs, hasCerts := basic.ReadExplicit(0, tagSequence)
+	if top.Failed() || basic.Failed() || alg.Failed() {
+		return nil, errMalformed("basicResponse")
 	}
-	if len(rest) != 0 {
-		return nil, errors.New("ocsp: trailing data after responseData")
-	}
-	resp.ProducedAt = rd.ProducedAt
+	resp.RawTBS = tbs
+	resp.SignatureAlgorithm = pkixutil.SignatureOID(sigOID)
+	resp.Signature = sig.RightAlign()
 
-	switch rd.ResponderID.Tag {
+	top = pkixutil.NewDERCursor(tbs)
+	rd := pkixutil.NewDERCursor(top.Read(tagSequence))
+	rd.ReadExplicitInt(0, tagInteger, 64, 0) // version
+	_, rid, _, ridTag := rd.ReadAny()
+	resp.ProducedAt = rd.ReadTime()
+	list := rd.Read(tagSequence)
+	exts, hasExts := rd.ReadExplicit(1, tagSequence)
+	if top.Failed() || rd.Failed() {
+		return nil, errMalformed("responseData")
+	}
+
+	switch ridTag {
 	case 1: // byName
-		resp.ResponderRawName = rd.ResponderID.Bytes
+		resp.ResponderRawName = rid
 	case 2: // byKey
-		var kh []byte
-		if _, err := asn1.Unmarshal(rd.ResponderID.Bytes, &kh); err != nil {
-			return nil, fmt.Errorf("ocsp: parse responder key hash: %w", err)
+		kh := pkixutil.NewDERCursor(rid)
+		resp.ResponderKeyHash = kh.Read(tagOctetString)
+		if kh.Failed() {
+			return nil, errMalformed("responder key hash")
 		}
-		resp.ResponderKeyHash = kh
 	default:
-		return nil, fmt.Errorf("ocsp: invalid responderID tag %d", rd.ResponderID.Tag)
+		return nil, fmt.Errorf("ocsp: invalid responderID tag %d", ridTag)
 	}
 
-	if len(rd.Responses) == 0 {
+	n := 0
+	for c := pkixutil.NewDERCursor(list); !c.Empty() && !c.Failed(); n++ {
+		c.ReadAny()
+	}
+	if n == 0 {
 		return nil, errors.New("ocsp: successful response with no single responses")
 	}
-	resp.Responses = make([]SingleResponse, 0, len(rd.Responses))
-	for _, sw := range rd.Responses {
-		s, err := singleFromASN1(sw)
+	resp.Responses = make([]SingleResponse, 0, n)
+	singles := pkixutil.NewDERCursor(list)
+	for !singles.Empty() {
+		s, err := readSingle(&singles)
 		if err != nil {
 			return nil, err
 		}
 		resp.Responses = append(resp.Responses, s)
 	}
 
-	if nonceDER := findNonce(rd.Extensions); nonceDER != nil {
-		var nonce []byte
-		if _, err := asn1.Unmarshal(nonceDER, &nonce); err != nil {
-			nonce = nonceDER
-		}
-		resp.Nonce = nonce
-	}
-
-	for _, raw := range basic.Certificates {
-		c, err := x509.ParseCertificate(raw.FullBytes)
+	if hasExts {
+		v, found, err := readExtensions(exts)
 		if err != nil {
-			return nil, fmt.Errorf("ocsp: parse embedded certificate: %w", err)
+			return nil, err
 		}
-		resp.Certificates = append(resp.Certificates, c)
+		if found {
+			resp.Nonce = decodeNonce(v)
+		}
 	}
 
+	if hasCerts {
+		c := pkixutil.NewDERCursor(certs)
+		for !c.Empty() {
+			raw, _, _, _ := c.ReadAny()
+			if c.Failed() {
+				return nil, errMalformed("certificates")
+			}
+			cert, err := x509.ParseCertificate(raw)
+			if err != nil {
+				return nil, fmt.Errorf("ocsp: parse embedded certificate: %w", err)
+			}
+			resp.Certificates = append(resp.Certificates, cert)
+		}
+	}
 	return resp, nil
-}
-
-func singleFromASN1(w singleResponseASN1) (SingleResponse, error) {
-	id, err := certIDFromASN1(w.CertID)
-	if err != nil {
-		return SingleResponse{}, err
-	}
-	s := SingleResponse{
-		CertID:     id,
-		ThisUpdate: w.ThisUpdate,
-		NextUpdate: w.NextUpdate,
-		Reason:     pkixutil.ReasonAbsent,
-	}
-	if w.CertStatus.Class != asn1.ClassContextSpecific {
-		return SingleResponse{}, fmt.Errorf("ocsp: certStatus has class %d", w.CertStatus.Class)
-	}
-	switch w.CertStatus.Tag {
-	case 0:
-		s.Status = Good
-	case 2:
-		s.Status = Unknown
-	case 1:
-		s.Status = Revoked
-		// Rebuild the SEQUENCE from the implicitly tagged contents.
-		seq, err := asn1.Marshal(asn1.RawValue{
-			Class:      asn1.ClassUniversal,
-			Tag:        asn1.TagSequence,
-			IsCompound: true,
-			Bytes:      w.CertStatus.Bytes,
-		})
-		if err != nil {
-			return SingleResponse{}, err
-		}
-		var ri revokedInfoASN1
-		ri.Reason = asn1.Enumerated(pkixutil.ReasonAbsent)
-		if _, err := asn1.Unmarshal(seq, &ri); err != nil {
-			return SingleResponse{}, fmt.Errorf("ocsp: parse revokedInfo: %w", err)
-		}
-		s.RevokedAt = ri.RevocationTime
-		s.Reason = pkixutil.ReasonCode(ri.Reason)
-	default:
-		return SingleResponse{}, fmt.Errorf("ocsp: certStatus has tag %d", w.CertStatus.Tag)
-	}
-	return s, nil
 }
 
 // Find returns the SingleResponse matching id, or nil if the response does

@@ -108,11 +108,6 @@ type DeterministicSigner struct {
 	*ecdsa.PrivateKey
 }
 
-// ecdsaSignature is the SEQUENCE { r INTEGER, s INTEGER } signature form.
-type ecdsaSignature struct {
-	R, S *big.Int
-}
-
 // Sign implements crypto.Signer with a derived nonce. digest must already
 // be hashed; opts' hash function is not consulted (matching how ECDSA
 // signing treats a pre-hashed input).
@@ -161,7 +156,13 @@ func (k *DeterministicSigner) Sign(_ io.Reader, digest []byte, _ crypto.SignerOp
 		if s.Sign() == 0 {
 			continue
 		}
-		return asn1.Marshal(ecdsaSignature{R: r, S: s})
+		// The SEQUENCE { r INTEGER, s INTEGER } signature form.
+		b := pkixutil.NewDERBuilder(make([]byte, 0, 72))
+		seq := b.Begin(pkixutil.TagSequence)
+		b.BigInt(r)
+		b.BigInt(s)
+		b.End(seq)
+		return b.Bytes()
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"crypto/rsa"
 	"crypto/sha256"
 	"crypto/x509"
+	"encoding/asn1"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -224,6 +225,35 @@ func TestDeterministicSigner(t *testing.T) {
 	}
 	if !ecdsa.VerifyASN1(pub, other[:], sig3) {
 		t.Error("second deterministic signature failed standard verification")
+	}
+}
+
+// TestDeterministicSignatureEncoding pins the hand-written SEQUENCE
+// { r, s } encoding to asn1.Marshal's over many signatures, which cover
+// r and s with and without the sign-padding octet and with short
+// magnitudes.
+func TestDeterministicSignatureEncoding(t *testing.T) {
+	key, err := GenerateKey(rand.New(rand.NewSource(12)), ECDSAP256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		digest := sha256.Sum256([]byte{byte(i), byte(i >> 8)})
+		sig, err := key.Sign(nil, digest[:], crypto.SHA256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rs struct{ R, S *big.Int }
+		if rest, err := asn1.Unmarshal(sig, &rs); err != nil || len(rest) != 0 {
+			t.Fatalf("signature %x does not parse: %v", sig, err)
+		}
+		want, err := asn1.Marshal(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sig, want) {
+			t.Fatalf("signature %x, asn1.Marshal %x", sig, want)
+		}
 	}
 }
 

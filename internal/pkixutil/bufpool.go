@@ -62,3 +62,25 @@ func PutBytes(b *[]byte) {
 	}
 	bytesPool.Put(b)
 }
+
+// The builder pool is the DERBuilder sibling, for encoders that assemble
+// DER in a scratch builder and copy the finished bytes out — the
+// responder's sign-on-miss path among them.
+
+var builderPool = sync.Pool{New: func() any { return new(DERBuilder) }}
+
+// GetDERBuilder returns an empty reusable builder. Callers must not retain
+// its bytes past PutDERBuilder.
+func GetDERBuilder() *DERBuilder {
+	b := builderPool.Get().(*DERBuilder)
+	b.buf, b.err = b.buf[:0], nil
+	return b
+}
+
+// PutDERBuilder returns a builder obtained from GetDERBuilder to the pool.
+func PutDERBuilder(b *DERBuilder) {
+	if b == nil || cap(b.buf) > maxPooledBuffer {
+		return
+	}
+	builderPool.Put(b)
+}

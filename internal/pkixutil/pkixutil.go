@@ -1,8 +1,9 @@
 // Package pkixutil provides the low-level PKIX plumbing shared by the
 // from-scratch OCSP (RFC 6960) and CRL (RFC 5280) codecs: object
 // identifiers, AlgorithmIdentifier handling, TBS signing and verification,
-// revocation reason codes, and the issuer name/key hashing used by OCSP
-// CertIDs.
+// revocation reason codes, the issuer name/key hashing used by OCSP
+// CertIDs, and a non-reflective DER builder and cursor (der.go) that
+// reproduce encoding/asn1's output and acceptance rules.
 //
 // Everything here is built on the standard library only (encoding/asn1 and
 // the crypto tree); no golang.org/x/crypto dependency is used anywhere in
@@ -147,6 +148,32 @@ func SignatureAlgorithmByOID(oid asn1.ObjectIdentifier) (SignatureAlgorithm, err
 	}
 	return SignatureAlgorithm{}, fmt.Errorf("pkixutil: unsupported signature algorithm %v", oid)
 }
+
+// SignatureOID decodes the content of a well-formed signature algorithm
+// OBJECT IDENTIFIER. A supported algorithm's identifier is the shared
+// package value, which callers must not modify; parsing the campaign's
+// millions of responses then allocates none.
+func SignatureOID(content []byte) asn1.ObjectIdentifier {
+	for i := range signatureAlgorithmDER {
+		if string(signatureAlgorithmDER[i]) == string(content) {
+			return signatureAlgorithms[i].OID
+		}
+	}
+	return parseOID(content)
+}
+
+// signatureAlgorithmDER holds the OBJECT IDENTIFIER content of each
+// signatureAlgorithms entry, index for index.
+var signatureAlgorithmDER = func() [][]byte {
+	out := make([][]byte, len(signatureAlgorithms))
+	for i, alg := range signatureAlgorithms {
+		b := NewDERBuilder(nil)
+		b.OID(alg.OID)
+		der, _ := b.Bytes()
+		out[i] = der[2:]
+	}
+	return out
+}()
 
 // SignatureAlgorithmForKey returns the AlgorithmIdentifier SignTBS will use
 // for the given signer's key family, without signing anything. CRL encoding

@@ -36,8 +36,8 @@ func responseBody(t testing.TB, w *world) []byte {
 
 // TestParseCacheCollision forces two distinct equal-length bodies onto the
 // same (hash, length) cache key and demands that neither is served the
-// other's parse. The test injects the hash through parseResponseHashed —
-// the exact path parseResponse takes after hashing.
+// other's parse. The test injects the hash through parseResponseHashed,
+// which scanOnce calls with the body's real hash.
 func TestParseCacheCollision(t *testing.T) {
 	w := newWorld(t, responder.Profile{})
 	good := responseBody(t, w)
@@ -123,7 +123,7 @@ func TestClientCacheStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if _, _, err := c.requestFor(w.target); err != nil {
+				if _, _, err := c.requestFor(w.target, w.target.Serial.String()); err != nil {
 					t.Errorf("requestFor: %v", err)
 					return
 				}
@@ -136,7 +136,7 @@ func TestClientCacheStress(t *testing.T) {
 					t.Error("collision body parsed cleanly")
 					return
 				}
-				if !c.checkSignature(resp, w.ca.Certificate) {
+				if !c.checkSignature(resp, h, w.ca.Certificate) {
 					t.Error("signature rejected")
 					return
 				}
@@ -161,6 +161,7 @@ func BenchmarkClientCaches(b *testing.B) {
 	const variants = 32
 	bodies := make([][]byte, variants)
 	targets := make([]Target, variants)
+	serials := make([]string, variants)
 	for i := range bodies {
 		leaf, err := w.ca.IssueLeaf(pki.LeafOptions{
 			DNSNames:  []string{fmt.Sprintf("bench%02d.scan.test", i)},
@@ -173,6 +174,7 @@ func BenchmarkClientCaches(b *testing.B) {
 		tgt := w.target
 		tgt.Serial = leaf.Certificate.SerialNumber
 		targets[i] = tgt
+		serials[i] = tgt.Serial.String()
 		wl := &world{ca: w.ca, db: w.db, clk: clock.NewSimulated(t0), leaf: leaf}
 		bodies[i] = responseBody(b, wl)
 	}
@@ -185,14 +187,15 @@ func BenchmarkClientCaches(b *testing.B) {
 		for pb.Next() {
 			v := i % variants
 			i++
-			if _, _, err := c.requestFor(targets[v]); err != nil {
+			if _, _, err := c.requestFor(targets[v], serials[v]); err != nil {
 				b.Fatal(err)
 			}
-			resp, err := c.parseResponse(bodies[v])
+			h := memo.Hash(bodies[v])
+			resp, err := c.parseResponseHashed(h, bodies[v])
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !c.checkSignature(resp, w.ca.Certificate) {
+			if !c.checkSignature(resp, h, w.ca.Certificate) {
 				b.Fatal("signature rejected")
 			}
 		}

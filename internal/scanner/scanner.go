@@ -260,7 +260,7 @@ type Client struct {
 	// campaign workers don't serialize on one mutex.
 	verifyCache memo.Cache[verifyKey, bool]
 	parseCache  memo.Cache[parseKey, parsedEntry]
-	reqCache    memo.Cache[string, requestEntry]
+	reqCache    memo.Cache[requestKey, requestEntry]
 }
 
 // Entry budgets of the parse and verify caches. The request cache is
@@ -293,12 +293,14 @@ type requestEntry struct {
 	err error
 }
 
-// requestFor builds (and memoizes) the OCSP request for a target —
-// campaigns probe the same (issuer, serial) thousands of times and the
-// request bytes never change.
-func (c *Client) requestFor(tgt Target) (*ocsp.Request, []byte, error) {
-	key := tgt.Responder + "|" + tgt.Serial.String()
-	h := memo.Hash(key)
+// requestFor builds (and memoizes) the OCSP request for a target whose
+// serial the caller has already formatted — campaigns probe the same
+// (issuer, serial) thousands of times and the request bytes never change.
+func (c *Client) requestFor(tgt Target, serial string) (*ocsp.Request, []byte, error) {
+	key := requestKey{responder: tgt.Responder, serial: serial}
+	// Two hashes folded into one shard hash; the key itself is compared
+	// exactly on hit.
+	h := memo.Hash(tgt.Responder)*1099511628211 ^ memo.Hash(serial)
 	if e, ok := c.reqCache.Get(h, key); ok {
 		return e.req, e.der, e.err
 	}
@@ -312,16 +314,15 @@ func (c *Client) requestFor(tgt Target) (*ocsp.Request, []byte, error) {
 	return req, der, err
 }
 
-// parseResponse parses with memoization: pre-generating responders serve
-// byte-identical bodies for hours, and re-parsing identical DER cannot
-// change the result. Callers must treat the shared *ocsp.Response as
-// read-only.
-func (c *Client) parseResponse(body []byte) (*ocsp.Response, error) {
-	return c.parseResponseHashed(memo.Hash(body), body)
+type requestKey struct {
+	responder, serial string
 }
 
-// parseResponseHashed is the hash-injectable core of parseResponse,
-// separated so the regression test can force a cache-key collision (a real
+// parseResponseHashed parses with memoization: pre-generating responders
+// serve byte-identical bodies for hours, and re-parsing identical DER
+// cannot change the result. Callers must treat the shared *ocsp.Response
+// as read-only. h is memo.Hash(body), taken once per scan and injectable
+// so the regression test can force a cache-key collision (a real
 // collision is impractical to find by search). A hit is served only when
 // the stored body matches the request bytes exactly; a colliding body is
 // parsed fresh and overwrites the slot.
@@ -338,27 +339,27 @@ func (c *Client) parseResponseHashed(h uint64, body []byte) (*ocsp.Response, err
 }
 
 type verifyKey struct {
-	bodyHash     uint64
-	bodyLen      int
-	issuerSerial string
+	bodyHash uint64
+	bodyLen  int
+	issuer   *x509.Certificate
 }
 
-// checkSignature verifies resp against issuer with memoization. Unlike the
-// parse cache a collision here cannot cross response boundaries in
-// practice — the key also carries the body length and the issuer serial —
-// and a false hit only re-reports a boolean for an equal-length
-// same-issuer body, so the verdict is not re-confirmed against the bytes.
-func (c *Client) checkSignature(resp *ocsp.Response, issuer *x509.Certificate) bool {
+// checkSignature verifies resp, whose body hashes to bodyHash, against
+// issuer with memoization. Unlike the parse cache a collision here cannot
+// cross response boundaries in practice — the key also carries the body
+// length and the issuer — and a false hit only re-reports a boolean for an
+// equal-length same-issuer body, so the verdict is not re-confirmed
+// against the bytes.
+func (c *Client) checkSignature(resp *ocsp.Response, bodyHash uint64, issuer *x509.Certificate) bool {
 	if c.DisableVerifyCache {
 		return resp.CheckSignatureFrom(issuer) == nil
 	}
-	h := memo.Hash(resp.Raw)
-	key := verifyKey{bodyHash: h, bodyLen: len(resp.Raw), issuerSerial: issuer.SerialNumber.String()}
-	if ok, hit := c.verifyCache.Get(h, key); hit {
+	key := verifyKey{bodyHash: bodyHash, bodyLen: len(resp.Raw), issuer: issuer}
+	if ok, hit := c.verifyCache.Get(bodyHash, key); hit {
 		return ok
 	}
 	ok := resp.CheckSignatureFrom(issuer) == nil
-	c.verifyCache.Put(h, key, ok, verifyBudget)
+	c.verifyCache.Put(bodyHash, key, ok, verifyBudget)
 	return ok
 }
 
@@ -404,7 +405,7 @@ func (c *Client) scanOnce(ctx context.Context, vantage netsim.Vantage, at time.T
 		return obs
 	}
 
-	req, reqDER, err := c.requestFor(tgt)
+	req, reqDER, err := c.requestFor(tgt, obs.Serial)
 	if err != nil {
 		obs.Class = ClassASN1
 		return obs
@@ -428,7 +429,8 @@ func (c *Client) scanOnce(ctx context.Context, vantage netsim.Vantage, at time.T
 		return obs
 	}
 
-	resp, err := c.parseResponse(res.Body)
+	bodyHash := memo.Hash(res.Body)
+	resp, err := c.parseResponseHashed(bodyHash, res.Body)
 	if err != nil {
 		obs.Class = ClassASN1
 		return obs
@@ -455,7 +457,7 @@ func (c *Client) scanOnce(ctx context.Context, vantage netsim.Vantage, at time.T
 	obs.RevokedAt = single.RevokedAt
 	obs.Reason = single.Reason
 
-	if !c.checkSignature(resp, tgt.Issuer) {
+	if !c.checkSignature(resp, bodyHash, tgt.Issuer) {
 		obs.Class = ClassSignature
 		return obs
 	}

@@ -54,8 +54,10 @@
 #                 for FUZZTIME (default 30s) — the OCSP response and
 #                 request parsers against their reflective encoding/asn1
 #                 reference, the GET-path decoders against each other,
-#                 the Expect-Staple report decoder and the store's record
-#                 codec — and fails on the first finding.
+#                 the Expect-Staple report decoder, the store's record
+#                 codec, and the store's frame scanner (strict against
+#                 tolerant torn-tail policy) — and fails on the first
+#                 finding.
 #   racecheck   — focused race-detector pass over the concurrent hot-path
 #                 packages (serving tier, load generator, responder,
 #                 scanner, store, engine core, shared memo cache) under
@@ -96,7 +98,7 @@ racecheck:
 FUZZTIME ?= 30s
 FUZZ_TARGETS = ./internal/ocsp:FuzzParseResponse ./internal/ocsp:FuzzParseRequest \
 	./internal/ocsp:FuzzDecodeGETPath ./internal/expectstaple:FuzzReportDecode \
-	./internal/store:FuzzRecordRoundTrip
+	./internal/store:FuzzRecordRoundTrip ./internal/store:FuzzScanFrames
 
 fuzzcheck:
 	@for t in $(FUZZ_TARGETS); do \

@@ -11,7 +11,8 @@ import (
 	"github.com/netmeasure/muststaple/internal/scanner"
 )
 
-// Record framing. Every observation is one record:
+// Record framing, shared by every segment kind (segment.go). Every
+// observation, corpus record and report is one record:
 //
 //	u32 LE payload length | u32 LE CRC32-C of payload | payload
 //
@@ -20,9 +21,9 @@ import (
 // detected by the length/size bounds, a torn payload by the checksum.
 const (
 	recordHeaderSize = 8
-	// maxRecordSize bounds a single encoded observation. Observations are
-	// a few hundred bytes; anything past this is a corrupt length field,
-	// not a real record.
+	// maxRecordSize bounds a single payload. Records are a few hundred
+	// bytes; anything past this is a corrupt length field, not a real
+	// record.
 	maxRecordSize = 1 << 20
 )
 

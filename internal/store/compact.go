@@ -29,7 +29,7 @@ func (s *Store) Compact() (CompactStats, error) {
 	if s.closed {
 		return st, ErrClosed
 	}
-	if err := s.w.Flush(); err != nil {
+	if err := s.w.bw.Flush(); err != nil {
 		return st, err
 	}
 	s.flushed = s.segs[len(s.segs)-1].size
@@ -85,10 +85,9 @@ func (s *Store) Compact() (CompactStats, error) {
 		return st, nil
 	}
 	// The segment list changed on disk; rebuild everything from it.
-	if err := s.active.Close(); err != nil {
+	if err := s.w.close(); err != nil {
 		return st, err
 	}
-	s.active = nil
 	if err := s.load(); err != nil {
 		return st, err
 	}
@@ -113,7 +112,7 @@ func (s *Store) mergeSegments(group []*segment) error {
 	cleanup := func(err error) error {
 		return errors.Join(err, tmp.Close(), os.Remove(tmp.Name()))
 	}
-	if _, err := tmp.Write(encodeSegmentHeader(first.index)); err != nil {
+	if _, err := tmp.Write(obsFormat.header(first.index)); err != nil {
 		return cleanup(err)
 	}
 	for _, seg := range group {

@@ -42,7 +42,7 @@ func TestCorpusSegmentRoundTrip(t *testing.T) {
 	writeCorpusSegment(t, dir, 3, want)
 
 	var got []CorpusRecord
-	err := ScanCorpusSegment(filepath.Join(dir, corpusSegmentName(3)), 3, func(rec CorpusRecord) error {
+	err := ScanCorpusSegment(filepath.Join(dir, corpusFormat.name(3)), 3, func(rec CorpusRecord) error {
 		got = append(got, rec)
 		return nil
 	})
@@ -78,7 +78,7 @@ func TestScanCorpusOrdersSegmentsByIndex(t *testing.T) {
 func TestCorpusSegmentCorruptionIsHardError(t *testing.T) {
 	dir := t.TempDir()
 	writeCorpusSegment(t, dir, 0, corpusFixture())
-	path := filepath.Join(dir, corpusSegmentName(0))
+	path := filepath.Join(dir, corpusFormat.name(0))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func TestReportLogRotation(t *testing.T) {
 	}
 	segs := 0
 	for _, e := range entries {
-		if _, ok := parseReportSegmentName(e.Name()); ok {
+		if _, ok := reportFormat.parse(e.Name()); ok {
 			segs++
 		}
 	}
@@ -158,7 +158,7 @@ func TestReportLogCorruptionIsHardError(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, reportSegmentName(0))
+	path := filepath.Join(dir, reportFormat.name(0))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -242,14 +242,51 @@ func TestParseReportSegmentName(t *testing.T) {
 		{"rpt-12ab.seg", 0, false},
 		{"obs-000000.seg", 0, false},
 		{"rpt-000000.tmp", 0, false},
+		{"rpt-4294967295.seg", 4294967295, true},
+		{"rpt-4294967296.seg", 0, false},           // the header index is a u32
+		{"rpt-18446744073709551617.seg", 0, false}, // wraps a 64-bit accumulator
 	}
 	for _, c := range cases {
-		idx, ok := parseReportSegmentName(c.name)
+		idx, ok := reportFormat.parse(c.name)
 		if ok != c.ok || (ok && idx != c.idx) {
-			t.Errorf("parseReportSegmentName(%q) = %d,%v want %d,%v", c.name, idx, ok, c.idx, c.ok)
+			t.Errorf("reportFormat.parse(%q) = %d,%v want %d,%v", c.name, idx, ok, c.idx, c.ok)
 		}
 	}
-	if got := reportSegmentName(7); got != "rpt-000007.seg" {
-		t.Errorf("reportSegmentName(7) = %q", got)
+	if got := reportFormat.name(7); got != "rpt-000007.seg" {
+		t.Errorf("reportFormat.name(7) = %q", got)
+	}
+}
+
+// TestReportLogAppendDoesNotAllocate: the collector's allocation-free
+// ingest path calls ReportLog.Append on every accepted report, and the
+// corpus spill appends once per certificate, so neither may allocate
+// per record.
+func TestReportLogAppendDoesNotAllocate(t *testing.T) {
+	l, err := CreateReportLog(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	payload := []byte(`{"host":"a.example","class":"expired"}`)
+	if n := testing.AllocsPerRun(200, func() {
+		if err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ReportLog.Append allocated %.1f times per record", n)
+	}
+
+	w, err := CreateCorpusSegment(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	rec := CorpusRecord{CA: "Let's Encrypt", Valid: true, SupportsOCSP: true}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("CorpusWriter.Append allocated %.1f times per record", n)
 	}
 }

@@ -13,11 +13,8 @@
 package store
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sort"
 	"sync"
@@ -91,9 +88,8 @@ type Store struct {
 	closed  bool
 	failed  error // sticky first write failure; all later writes return it
 	segs    []*segment
-	active  *os.File // last segment, open for append
-	w       *bufio.Writer
-	flushed int64 // bytes of the active segment durable enough to read
+	w       frameWriter // the last segment, open for append
+	flushed int64       // bytes of the active segment durable enough to read
 	index   map[Key][]recordRef
 	rounds  []int64 // distinct record round timestamps, ascending
 	// roundCount includes empty rounds (every target expired), which
@@ -109,7 +105,6 @@ type Store struct {
 	payload    func() []byte // optional engine snapshot for checkpoints
 
 	encBuf  []byte // reusable observation encode buffer
-	hdrBuf  [recordHeaderSize]byte
 	scanBuf []byte // reusable segment-scan payload buffer
 
 	mSegments *metrics.Gauge
@@ -141,6 +136,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		dir:       dir,
 		opt:       opt,
 		reg:       reg,
+		w:         newFrameWriter(256 << 10),
 		mSegments: reg.Gauge("store_segments"),
 		mBytes:    reg.Gauge("store_bytes"),
 		mRecords:  reg.Counter("store_records_appended_total"),
@@ -161,7 +157,7 @@ func Open(dir string, opt Options) (*Store, error) {
 // checkpoint — from the files in s.dir, truncating a torn tail record of
 // the final segment. It does not open the active segment for writing.
 func (s *Store) load() error {
-	segs, err := listSegments(s.dir)
+	segs, err := obsFormat.list(s.dir)
 	if err != nil {
 		return err
 	}
@@ -173,7 +169,7 @@ func (s *Store) load() error {
 	var lastRound int64
 	for i, seg := range segs {
 		seg.records, seg.firstAt, seg.lastAt = 0, 0, 0
-		committed, buf, err := scanSegment(seg.path, seg.index, s.scanBuf, func(payload []byte, off int64) error {
+		committed, buf, err := obsFormat.scanFile(seg.path, seg.index, -1, s.scanBuf, false, func(payload []byte, off int64) error {
 			at, vantage, responder, err := decodeIndexKey(payload)
 			if err != nil {
 				return fmt.Errorf("store: %s offset %d: %w", seg.path, off, err)
@@ -258,13 +254,9 @@ func (s *Store) openActive() error {
 		if n := len(s.segs); n > 0 {
 			next = s.segs[n-1].index + 1
 		}
-		seg, f, err := createSegment(s.dir, next)
-		if err != nil {
+		if err := s.startSegment(next); err != nil {
 			return err
 		}
-		s.segs = append(s.segs, seg)
-		s.active = f
-		s.reg.Counter("store_segments_created_total").Inc()
 	} else {
 		seg := s.segs[len(s.segs)-1]
 		f, err := os.OpenFile(seg.path, os.O_WRONLY, 0)
@@ -274,16 +266,34 @@ func (s *Store) openActive() error {
 		if _, err := f.Seek(seg.size, 0); err != nil {
 			return errors.Join(err, f.Close())
 		}
-		s.active = f
+		s.w.reset(f, seg.size)
+		s.flushed = seg.size
 	}
-	if s.w == nil {
-		s.w = bufio.NewWriterSize(s.active, 256<<10)
-	} else {
-		s.w.Reset(s.active)
-	}
-	s.flushed = s.segs[len(s.segs)-1].size
 	s.publishGauges()
 	return nil
+}
+
+// startSegment creates segment index and makes it the active segment.
+func (s *Store) startSegment(index int) error {
+	path, err := obsFormat.create(s.dir, index, os.O_EXCL, &s.w)
+	if err != nil {
+		return err
+	}
+	s.segs = append(s.segs, &segment{index: index, path: path, size: segHeaderSize})
+	s.flushed = segHeaderSize
+	s.reg.Counter("store_segments_created_total").Inc()
+	return nil
+}
+
+// syncActive flushes the active segment and, unless NoSync, fsyncs it.
+func (s *Store) syncActive() error {
+	if err := s.w.bw.Flush(); err != nil {
+		return err
+	}
+	if s.opt.NoSync {
+		return nil
+	}
+	return s.w.f.Sync()
 }
 
 func (s *Store) publishGauges() {
@@ -350,7 +360,7 @@ func (s *Store) AppendRound(at time.Time, obs []scanner.Observation) error {
 	}
 
 	stop := s.reg.Timer("store_flush_seconds", flushLatencyBounds...)
-	if err := s.w.Flush(); err != nil {
+	if err := s.w.bw.Flush(); err != nil {
 		s.failed = err
 		return err
 	}
@@ -388,16 +398,11 @@ func (s *Store) appendRecord(round int64, o *scanner.Observation) error {
 	}
 	s.encBuf = appendObservation(s.encBuf[:0], o)
 	payload := s.encBuf
-	binary.LittleEndian.PutUint32(s.hdrBuf[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(s.hdrBuf[4:], crc32.Checksum(payload, crcTable))
-	if _, err := s.w.Write(s.hdrBuf[:]); err != nil {
-		return err
-	}
-	if _, err := s.w.Write(payload); err != nil {
-		return err
-	}
 	off := seg.size
-	seg.size += recordHeaderSize + int64(len(payload))
+	if err := s.w.append(payload); err != nil {
+		return err
+	}
+	seg.size = s.w.size
 	if seg.records == 0 {
 		seg.firstAt = round
 	}
@@ -411,27 +416,13 @@ func (s *Store) appendRecord(round int64, o *scanner.Observation) error {
 // rotateLocked seals the active segment (flush, fsync, close) and starts
 // the next one.
 func (s *Store) rotateLocked() error {
-	if err := s.w.Flush(); err != nil {
+	if err := s.syncActive(); err != nil {
 		return err
 	}
-	if !s.opt.NoSync {
-		if err := s.active.Sync(); err != nil {
-			return err
-		}
-	}
-	if err := s.active.Close(); err != nil {
+	if err := s.w.close(); err != nil {
 		return err
 	}
-	seg, f, err := createSegment(s.dir, s.segs[len(s.segs)-1].index+1)
-	if err != nil {
-		return err
-	}
-	s.segs = append(s.segs, seg)
-	s.active = f
-	s.w.Reset(f)
-	s.flushed = seg.size
-	s.reg.Counter("store_segments_created_total").Inc()
-	return nil
+	return s.startSegment(s.segs[len(s.segs)-1].index + 1)
 }
 
 // simulateCrash is the CrashAfterRounds failpoint body: the first half of
@@ -443,25 +434,11 @@ func (s *Store) simulateCrash(obs []scanner.Observation, written int) error {
 	if len(obs) > 0 {
 		torn := &obs[written%len(obs)]
 		s.encBuf = appendObservation(s.encBuf[:0], torn)
-		payload := s.encBuf
-		binary.LittleEndian.PutUint32(s.hdrBuf[0:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(s.hdrBuf[4:], crc32.Checksum(payload, crcTable))
-		if _, err := s.w.Write(s.hdrBuf[:]); err != nil {
-			return err
-		}
-		if _, err := s.w.Write(payload[:len(payload)/2]); err != nil {
+		if err := s.w.write(s.encBuf, len(s.encBuf)/2); err != nil {
 			return err
 		}
 	}
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	if !s.opt.NoSync {
-		if err := s.active.Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.syncActive()
 }
 
 // SetCheckpointPayload installs a callback that supplies an opaque
@@ -487,10 +464,8 @@ func (s *Store) LastCheckpoint() (Checkpoint, bool) {
 // checkpointLocked fsyncs the active segment and writes a new checkpoint
 // recording the round high-water mark.
 func (s *Store) checkpointLocked() error {
-	if !s.opt.NoSync {
-		if err := s.active.Sync(); err != nil {
-			return err
-		}
+	if err := s.syncActive(); err != nil {
+		return err
 	}
 	ck := Checkpoint{
 		Seq:    s.ckptSeq + 1,
@@ -522,13 +497,9 @@ func (s *Store) TruncateAfter(round int64) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.w.Flush(); err != nil {
+	if err := s.w.close(); err != nil {
 		return err
 	}
-	if err := s.active.Close(); err != nil {
-		return err
-	}
-	s.active = nil
 
 	cut := -1 // first segment slice position to delete entirely
 	for i, seg := range s.segs {
@@ -542,7 +513,7 @@ func (s *Store) TruncateAfter(round int64) error {
 		// The boundary segment: find the offset of the first record
 		// past the cut and truncate there.
 		var cutOff int64 = -1
-		committed, buf, err := scanSegment(seg.path, seg.index, s.scanBuf, func(payload []byte, off int64) error {
+		committed, buf, err := obsFormat.scanFile(seg.path, seg.index, -1, s.scanBuf, false, func(payload []byte, off int64) error {
 			if cutOff >= 0 {
 				return nil
 			}
@@ -665,9 +636,9 @@ func (s *Store) Lookup(responder string, round int64, vantage string) ([]scanner
 		if _, err := f.ReadAt(rec, ref.off); err != nil {
 			return nil, err
 		}
-		payload := rec[recordHeaderSize:]
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rec[4:]) {
-			return nil, fmt.Errorf("store: record at %s offset %d failed its checksum", paths[ref.seg], ref.off)
+		payload, err := checkFrame(rec)
+		if err != nil {
+			return nil, fmt.Errorf("store: %s offset %d: %w", paths[ref.seg], ref.off, err)
 		}
 		o, err := decodeObservation(payload)
 		if err != nil {
@@ -747,18 +718,12 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.active == nil {
+	if s.w.f == nil {
 		return nil
 	}
-	err := s.w.Flush()
-	if !s.opt.NoSync {
-		if serr := s.active.Sync(); err == nil {
-			err = serr
-		}
-	}
-	if cerr := s.active.Close(); err == nil {
+	err := s.syncActive()
+	if cerr := s.w.close(); err == nil {
 		err = cerr
 	}
-	s.active = nil
 	return err
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -388,6 +389,47 @@ func TestTruncateAfter(t *testing.T) {
 	}
 }
 
+// TestLookupChecksLengthField: Lookup validates the whole frame, length
+// field included, as a scan does — a record whose length bytes were
+// damaged after Open must not decode.
+func TestLookupChecksLengthField(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{SegmentSize: 512, NoSync: true})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	appendRounds(t, s, 6, 5)
+	segs := s.Segments()
+	if len(segs) < 2 {
+		t.Fatal("test needs a sealed segment")
+	}
+	k := s.Keys()[0]
+	refs := s.index[k]
+	if len(refs) == 0 || refs[0].seg != segs[0].Index {
+		t.Fatalf("first key's record is not in the first sealed segment: %+v", refs)
+	}
+	if _, err := s.Lookup(k.Responder, k.Round, k.Vantage); err != nil {
+		t.Fatalf("Lookup before damage: %v", err)
+	}
+	f, err := os.OpenFile(segs[0].Path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A plausible but wrong length: one byte longer than the record.
+	var length [4]byte
+	binary.LittleEndian.PutUint32(length[:], uint32(refs[0].n)+1)
+	if _, err := f.WriteAt(length[:], refs[0].off); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if obs, err := s.Lookup(k.Responder, k.Round, k.Vantage); err == nil {
+		t.Fatalf("Lookup decoded %d observation(s) through a damaged length field", len(obs))
+	}
+}
+
 func TestRecoveryTornTailCorpus(t *testing.T) {
 	// Build a single-segment store with no checkpoints, then replay every
 	// possible torn-tail length and check recovery keeps exactly the
@@ -401,7 +443,7 @@ func TestRecoveryTornTailCorpus(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	segPath := filepath.Join(src, segmentName(0))
+	segPath := filepath.Join(src, obsFormat.name(0))
 	full, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
@@ -409,19 +451,19 @@ func TestRecoveryTornTailCorpus(t *testing.T) {
 
 	// Record boundaries: ends[i] is the offset just past record i.
 	var ends []int64
-	if _, _, err := scanSegment(segPath, 0, nil, func(payload []byte, off int64) error {
+	if _, _, err := obsFormat.scanFile(segPath, 0, -1, nil, false, func(payload []byte, off int64) error {
 		ends = append(ends, off+recordHeaderSize+int64(len(payload)))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(ends) != len(all) {
-		t.Fatalf("scanSegment saw %d records, appended %d", len(ends), len(all))
+		t.Fatalf("scanFile saw %d records, appended %d", len(ends), len(all))
 	}
 
 	for cut := int64(segHeaderSize); cut < int64(len(full)); cut++ {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segmentName(0)), full[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, obsFormat.name(0)), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		intact := 0
@@ -442,7 +484,7 @@ func TestRecoveryTornTailCorpus(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("cut=%d: recovered %d obs, want the first %d", cut, len(got), intact)
 		}
-		info, err := os.Stat(filepath.Join(dir, segmentName(0)))
+		info, err := os.Stat(filepath.Join(dir, obsFormat.name(0)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,7 +512,7 @@ func TestRecoveryCorruptFinalRecord(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	reg := metrics.NewRegistry()
-	segPath := filepath.Join(src, segmentName(0))
+	segPath := filepath.Join(src, obsFormat.name(0))
 	b, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
@@ -508,7 +550,7 @@ func TestMidStreamCorruptionIsFatal(t *testing.T) {
 	// Corrupt a record in the FIRST segment: that data is supposed to be
 	// sealed and durable, so recovery must refuse rather than silently
 	// dropping everything after it.
-	segPath := filepath.Join(src, segmentName(0))
+	segPath := filepath.Join(src, obsFormat.name(0))
 	b, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
